@@ -12,6 +12,7 @@ from .errors import (
     ConfigError,
     DomainError,
     ModeError,
+    NumericalError,
     PreconditionError,
     QwireError,
     SingularMatrixError,
@@ -77,6 +78,7 @@ __all__ = [
     "HatDets",
     "IntegratorConfig",
     "ModeError",
+    "NumericalError",
     "PreconditionError",
     "QuadratureConfig",
     "QwireError",

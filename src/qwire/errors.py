@@ -27,3 +27,7 @@ class SingularMatrixError(QwireError, RuntimeError):
 
 class BlowUpError(QwireError, RuntimeError):
     """Numerical integration produced a non-finite or runaway state."""
+
+
+class NumericalError(QwireError, RuntimeError):
+    """A computed result is non-finite or fails an internal consistency check."""

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 from .wire_matrix import EnergyLike, HatDets, WireParams, corner_cofactor_wire, hat_dets
 
 _RECOMBINE_RTOL = 1e-9
@@ -105,6 +105,8 @@ class TransmissionSpectrum:
             t = np.asarray(t, dtype=float)
             if t.shape != grid.shape:
                 raise ValueError(f"{name} must match the grid shape")
+            if not np.all(np.isfinite(t)):
+                raise NumericalError(f"{name} has non-finite samples")
             if t.min() < 0.0 or t.max() > _T_UPPER:
                 raise ValueError(f"{name} leaves [0, 1 + 1e-9]")
 
@@ -154,7 +156,10 @@ def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
 def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
     """The three averaged evolution-operator terms at probe energy ``eps``."""
     h = hat_dets(p, eps)
-    det_sq = _abs_det_sq(p, h)
+    return _eo_terms(p, h, _abs_det_sq(p, h))
+
+
+def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
     g = p.gamma
     pref = 2.0 * math.pi * p.v_lead ** 2
     cof = corner_cofactor_wire(p)
@@ -172,27 +177,30 @@ def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
     """Evolution-operator transmittance, independent of the GF route.
 
     gamma**2/(2 |det C|**2) * (cof**2 + Chat_{n-1}**2 - Chat_{n-2}*Chat_n).
-    A debug assertion re-derives the value from the three averaged terms,
-    pinning the wide-band bookkeeping 2*pi*v_lead**2 = gamma*bandwidth.
+    The value is re-derived from the three averaged terms, which pins the
+    wide-band bookkeeping 2*pi*v_lead**2 = gamma*bandwidth.
+
+    Raises
+    ------
+    NumericalError
+        The recombined terms disagree with the closed form, or either is
+        non-finite (the recurrence overflowed far outside the band).
     """
     h = hat_dets(p, eps)
     det_sq = _abs_det_sq(p, h)
     cof = corner_cofactor_wire(p)
     gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
     t = 0.5 * p.gamma ** 2 * (cof * cof + gap) / det_sq
-    assert _recombination_consistent(p, eps, t), (
-        "averaged-term recombination disagrees with the closed form"
-    )
-    return t
-
-
-def _recombination_consistent(p: WireParams, eps: EnergyLike, t: EnergyLike) -> bool:
-    terms = eo_terms(p, eps)
+    terms = _eo_terms(p, h, det_sq)
     recombined = (
         0.5 * p.gamma / p.bandwidth * (terms.term_uN - terms.term_u1) + terms.term_im
     )
     tol = _RECOMBINE_RTOL * np.maximum(np.abs(t), np.abs(recombined)) + _RECOMBINE_ATOL
-    return bool(np.all(np.abs(recombined - t) <= tol))
+    if not np.all(np.abs(recombined - t) <= tol):
+        raise NumericalError(
+            "averaged-term recombination disagrees with the closed form"
+        )
+    return t
 
 
 def _bridge_residual_rel(p: WireParams, eps: float) -> float:
@@ -303,7 +311,8 @@ def landauer_current(
     finite temperature the window is padded by 40 k_B T on both sides, beyond
     which the occupation difference is below 1e-17.  Chain resonance energies
     are passed to the quadrature as break points so narrow peaks are not
-    missed.  Zero bias returns exactly 0.
+    missed; when there are at least ``quadrature.limit`` of them, the
+    subinterval limit is raised by their count.  Zero bias returns exactly 0.
     """
     cfg = quadrature or QuadratureConfig()
     if bias.mu_left == bias.mu_right:
@@ -327,12 +336,15 @@ def landauer_current(
             return float(transmittance_gf(p, e))
 
     breaks = [e for e in chain_resonances(p) if lo < e < hi]
+    # QUADPACK needs more subintervals than break points; only then is the
+    # limit raised, so every other call keeps its exact arguments.
+    limit = cfg.limit + len(breaks) if len(breaks) >= cfg.limit else cfg.limit
     value, abserr = scipy.integrate.quad(
         integrand,
         lo,
         hi,
         points=sorted(breaks) or None,
-        limit=cfg.limit,
+        limit=limit,
         epsabs=cfg.epsabs,
         epsrel=cfg.epsrel,
     )

@@ -27,11 +27,6 @@ TWO_PI = 2.0 * math.pi
 EnergyLike = Union[float, np.ndarray]
 
 
-def _check_finite_energy(eps: EnergyLike) -> None:
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("probe energy must be finite")
-
-
 @dataclass(frozen=True)
 class WireParams:
     """Physical parameters of the wire-leads system (hbar = 1).
@@ -154,19 +149,31 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     These are continuants with diagonal ``eps0 - eps`` and off-diagonal
     ``-v`` (the sign of the off-diagonal is irrelevant: only its square
     enters the recurrence).  Accepts a scalar or an array of energies.
+
+    A scalar (0-d) energy runs the recurrence on Python floats, which avoids
+    numpy's per-operation dispatch when one energy is evaluated at a time
+    (as under adaptive quadrature).  Both kinds of input run the same
+    multiplies and subtracts in the same order, so a scalar result is
+    bit-identical to the corresponding element of an array result.
     """
-    _check_finite_energy(eps)
-    scalar = np.isscalar(eps) or np.ndim(eps) == 0
-    alpha = p.eps0 - np.asarray(eps, dtype=float)
+    if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
+        eps = float(eps)
+        finite = math.isfinite(eps)
+        zero, one = 0.0, 1.0
+    else:
+        eps = np.asarray(eps, dtype=float)
+        finite = np.all(np.isfinite(eps))
+        zero, one = np.zeros_like(eps), np.ones_like(eps)
+    if not finite:
+        raise ValueError("probe energy must be finite")
+    alpha = p.eps0 - eps
     b2 = p.v * p.v
-    older = np.zeros_like(alpha)   # becomes Chat_{n-2}
-    prev2 = np.zeros_like(alpha)   # Chat_{-1}
-    prev = np.ones_like(alpha)     # Chat_0
+    older = zero   # becomes Chat_{n-2}
+    prev2 = zero   # Chat_{-1}
+    prev = one     # Chat_0
     for _ in range(p.n):
         older = prev2
         prev2, prev = prev, alpha * prev - b2 * prev2
-    if scalar:
-        return HatDets(float(prev), float(prev2), float(older))
     return HatDets(prev, prev2, older)
 
 

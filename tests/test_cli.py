@@ -28,9 +28,9 @@ GOLDEN_INVOCATIONS = {
 }
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "qwire", *args],
+        [sys.executable, *python_flags, "-m", "qwire", *args],
         capture_output=True, text=False, env=env,
     )
 
@@ -172,6 +172,21 @@ def test_spectrum_invalid_grid_exits_2():
     code, out, _ = run_text("spectrum", *spectrum_args(**{"--from": "2", "--to": "-2"}))
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-O",)])
+@pytest.mark.parametrize("method", ["gf", "both"])
+def test_spectrum_overflow_exits_1_without_nan(method, python_flags):
+    # n = 1000 just above the band: the continuants overflow to nan.
+    proc = run_cli(
+        "spectrum", "-N", "1000", "--eps0", "0", "--v", "1", "--gamma", "0.5",
+        "--from", "2.5", "--to", "3", "--points", "3", "--method", method,
+        python_flags=python_flags,
+    )
+    assert proc.returncode == 1
+    assert b"nan" not in proc.stdout
+    assert b"Traceback" not in proc.stderr
+    assert b"qwire: " in proc.stderr
 
 
 def test_spectrum_json_format():

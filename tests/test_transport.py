@@ -1,12 +1,18 @@
 """Transmittance routes, equivalence report, spectra, and Landauer current."""
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwire import (
     BiasWindow,
+    NumericalError,
     PreconditionError,
     QuadratureConfig,
     TransmissionSpectrum,
@@ -14,13 +20,14 @@ from qwire import (
     chain_resonances,
     eo_terms,
     equivalence_report,
+    hat_dets,
     landauer_current,
     spectrum,
     transmittance_eo,
     transmittance_gf,
 )
 
-from oracles import dense_transmittance, lorentzian_window_integral
+from oracles import current_dense_grid, dense_transmittance, lorentzian_window_integral
 
 
 def random_params(rng, n=None):
@@ -73,6 +80,34 @@ def test_gf_matches_dense_inversion():
         )
 
 
+def _bits(x):
+    return float(x).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    eps0=st.floats(-2.0, 2.0),
+    v=st.floats(0.5, 2.0).flatmap(lambda m: st.sampled_from([m, -m])),
+    gamma=st.floats(0.05, 4.0),
+    offset=st.floats(-5.0, 5.0),
+)
+def test_scalar_path_bit_identical_to_array(n, eps0, v, gamma, offset):
+    # offset in band widths 4|v|: up to five band widths outside the band,
+    # where the recurrence overflows to inf and then nan on both paths.
+    p = WireParams(n=n, eps0=eps0, v=v, gamma=gamma)
+    eps = eps0 + offset * 4.0 * abs(v)
+    with np.errstate(all="ignore"):
+        scalar = hat_dets(p, eps)
+        array = hat_dets(p, np.array([eps]))
+        t_scalar = transmittance_gf(p, eps)
+        t_array = transmittance_gf(p, np.array([eps]))
+    assert isinstance(scalar.c_n, float) and isinstance(t_scalar, float)
+    for name in ("c_n", "c_n1", "c_n2"):
+        assert _bits(getattr(scalar, name)) == _bits(getattr(array, name)[0])
+    assert _bits(t_scalar) == _bits(t_array[0])
+
+
 # --- evolution-operator route -------------------------------------------------
 
 def test_eo_terms_single_site_resonant():
@@ -105,6 +140,37 @@ def test_eo_recombination_from_terms():
         terms = eo_terms(p, eps)
         recombined = 0.5 * p.gamma / p.bandwidth * (terms.term_uN - terms.term_u1) + terms.term_im
         assert abs(recombined - t) <= 1e-9 * max(abs(t), abs(recombined)) + 1e-12
+
+
+def test_eo_check_raises_outside_double_range():
+    # n = 1000 at eps = 2.5 (band [-2, 2]): the continuants overflow to nan.
+    p = WireParams(n=1000, eps0=0.0, v=1.0, gamma=0.5)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        transmittance_eo(p, np.array([2.5, 2.75]))
+    assert issubclass(NumericalError, RuntimeError)
+
+
+def test_eo_check_runs_under_optimize():
+    # Under -O an assert would be stripped; the recombination check must
+    # still catch a term that no longer matches the closed form.
+    script = textwrap.dedent("""
+        import qwire.transport as tr
+        from qwire import NumericalError, WireParams
+        real = tr._eo_terms
+
+        def skewed(p, h, det_sq):
+            terms = real(p, h, det_sq)
+            return tr.EOTerms(terms.term_u1, terms.term_uN, terms.term_im * 1.001)
+
+        tr._eo_terms = skewed
+        try:
+            tr.transmittance_eo(WireParams(n=3, eps0=0.0, v=1.0, gamma=1.0), 0.2)
+        except NumericalError:
+            print("raised")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_routes_independent_of_bandwidth():
@@ -245,6 +311,16 @@ def test_spectrum_type_validates_bounds():
         )
 
 
+def test_spectrum_type_rejects_nonfinite_samples():
+    p = WireParams(n=2, eps0=0.0, v=1.0, gamma=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NumericalError):
+            TransmissionSpectrum(
+                energies=np.array([0.0, 1.0]), params=p, method="gf",
+                t_gf=np.array([0.5, bad]),
+            )
+
+
 # --- Landauer current -------------------------------------------------------------
 
 def test_current_zero_bias_is_exactly_zero():
@@ -299,6 +375,27 @@ def test_current_quadrature_config_respected():
     res = landauer_current(p, BiasWindow(2.0, -2.0), QuadratureConfig(epsrel=1e-12, limit=300))
     oracle = lorentzian_window_integral(0.5, 2.0)
     assert res.value == pytest.approx(oracle, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("temperature", [0.0, 0.05])
+def test_current_matches_dense_grid(n, temperature):
+    p = WireParams(n=n, eps0=0.1, v=-0.9 if n % 2 else 1.1, gamma=0.6)
+    res = landauer_current(p, BiasWindow(1.7, -1.3, temperature))
+    oracle = current_dense_grid(p, 1.7, -1.3, temperature)
+    assert res.value == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_current_more_resonances_than_subinterval_limit():
+    # All 20 chain resonances lie in the window, at least the limit of 10:
+    # the subinterval limit is raised instead of quad rejecting the input.
+    p = WireParams(n=20, eps0=0.0, v=1.0, gamma=1.0)
+    res = landauer_current(p, BiasWindow(2.5, -2.5), QuadratureConfig(limit=10))
+    oracle = current_dense_grid(p, 2.5, -2.5, points=20001)
+    assert math.isfinite(res.error_estimate)
+    assert abs(res.value - oracle) <= res.error_estimate
+    assert res.value == pytest.approx(oracle, rel=1e-4)
 
 
 def test_bias_window_validation():
