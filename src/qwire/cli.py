@@ -37,12 +37,6 @@ def _number(text: str):
         return float(text)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -174,12 +168,13 @@ def _csv_lines(meta: list[tuple[str, object]], header: list[str],
                rows: list[list[object]], trailer: list[tuple[str, object]] = ()) -> str:
     lines = [f"# {key} = {_fmt_meta(value)}" for key, value in meta]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(_fmt_meta(cell) for cell in row) for row in rows)
     lines.extend(f"# {key} = {_fmt_meta(value)}" for key, value in trailer)
     return "\n".join(lines) + "\n"
 
 
 def _fmt_meta(value) -> str:
+    """Format a metadata value or a table cell (shortest round-trip floats)."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -199,10 +194,7 @@ def _wire_meta(p: WireParams) -> list[tuple[str, object]]:
 
 
 def _wire_json(p: WireParams) -> dict:
-    return {
-        "sites": p.n, "eps0": p.eps0, "v": p.v, "gamma": p.gamma,
-        "bandwidth": p.bandwidth, "v_lead": p.v_lead,
-    }
+    return dict(_wire_meta(p))
 
 
 def cmd_identity(args: argparse.Namespace) -> None:
@@ -373,18 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    except (RuntimeError, OSError) as exc:  # first: runtime-class QwireErrors exit 1
+        print(f"qwire: {exc}", file=sys.stderr)
+        return 1
     except (QwireError, ValueError) as exc:
-        if isinstance(exc, RuntimeError):  # singular / blow-up: runtime class
-            print(f"qwire: {exc}", file=sys.stderr)
-            return 1
         print(f"qwire: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"qwire: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"qwire: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -32,28 +32,16 @@ _RESOLUTION_LIMIT = 0.1
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integrator settings.
-
-    ``convergence_window`` is the trailing time span used for steady-state
-    detection; it defaults to a quarter of the horizon.
-    """
+    """Fixed-step RK4 settings: requested step ``dt`` and horizon ``t_max``."""
 
     dt: float
     t_max: float
-    method: str = "rk4"
-    convergence_window: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.method != "rk4":
-            raise ConfigError(f"only the rk4 method is available, got {self.method!r}")
-        if self.convergence_window is not None and not (
-            0.0 < self.convergence_window <= self.t_max
-        ):
-            raise ConfigError("convergence_window must lie in (0, t_max]")
 
 
 @dataclass(frozen=True)

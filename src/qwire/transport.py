@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from .errors import NumericalError, PreconditionError
+from .tridiag_core import SymToeplitzTridiag, identity_residual
 from .wire_matrix import EnergyLike, HatDets, WireParams, corner_cofactor_wire, hat_dets
 
 _RECOMBINE_RTOL = 1e-9
@@ -147,10 +146,19 @@ def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
     """Green's-function transmittance gamma**2 * cof**2 / |det C|**2.
 
     Accepts a scalar or an array of probe energies.
+
+    Raises
+    ------
+    NumericalError
+        Scalar energy at which ``|det C|**2`` underflows to 0 (an array
+        energy yields ``nan`` or ``inf`` there instead).
     """
     h = hat_dets(p, eps)
     cof = corner_cofactor_wire(p)
-    return p.gamma ** 2 * cof * cof / _abs_det_sq(p, h)
+    try:
+        return p.gamma ** 2 * cof * cof / _abs_det_sq(p, h)
+    except ZeroDivisionError:
+        raise NumericalError(f"|det C|**2 underflows to 0 at energy {eps!r}") from None
 
 
 def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
@@ -203,34 +211,6 @@ def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
     return t
 
 
-def _bridge_residual_rel(p: WireParams, eps: float) -> float:
-    """Relative residual of cof**2 = Chat_{n-1}**2 - Chat_{n-2}*Chat_n, exact.
-
-    Doubles are dyadic rationals, so the identity is evaluated in scaled
-    integer arithmetic where it holds exactly; a nonzero value would expose
-    an implementation defect rather than rounding.
-    """
-    na, da = float(p.eps0 - eps).as_integer_ratio()
-    nb, db = float(-p.v).as_integer_ratio()
-    den = max(da, db)
-    ai = na * (den // da)
-    bi = nb * (den // db)
-    b2 = bi * bi
-    prev2, prev = 0, 1
-    seq = [1]
-    for _ in range(p.n):
-        prev2, prev = prev, ai * prev - b2 * prev2
-        seq.append(prev)
-    c_n = seq[p.n]
-    c_n1 = seq[p.n - 1] if p.n >= 1 else 0
-    c_n2 = seq[p.n - 2] if p.n >= 2 else 0
-    residual = bi ** (2 * p.n - 2) - (c_n1 * c_n1 - c_n2 * c_n)
-    denom = bi ** (2 * p.n - 2)
-    if denom == 0:
-        return 0.0 if residual == 0 else math.inf
-    return abs(residual / denom)
-
-
 def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport:
     """Compare the two routes on a grid and verify the identity bridge.
 
@@ -247,7 +227,11 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
     diff = np.abs(t_gf - t_eo)
     h = hat_dets(p, grid)
     gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
-    bridge = np.array([_bridge_residual_rel(p, e) for e in grid])
+    bridge = np.array([
+        abs(identity_residual(SymToeplitzTridiag(p.eps0 - e, -p.v, p.n)))
+        if p.n > 1 else 0.0
+        for e in grid
+    ])
     return EquivalenceReport(
         energies=grid,
         abs_diff=diff,
@@ -294,10 +278,8 @@ def chain_resonances(p: WireParams) -> np.ndarray:
     return p.eps0 + 2.0 * p.v * np.cos(m * np.pi / (p.n + 1))
 
 
-def _fermi(eps: np.ndarray, mu: float, temperature: float) -> np.ndarray:
-    if temperature == 0.0:
-        return np.where(eps < mu, 1.0, np.where(eps > mu, 0.0, 0.5))
-    return scipy.special.expit((mu - eps) / temperature)
+def _fermi(eps: float, mu: float, temperature: float) -> float:
+    return 0.5 - 0.5 * math.tanh(0.5 * (eps - mu) / temperature)
 
 
 def landauer_current(
@@ -326,20 +308,24 @@ def landauer_current(
         hi += pad
 
         def integrand(e: float) -> float:
-            occ = _fermi(np.asarray(e), bias.mu_left, bias.temperature) - _fermi(
-                np.asarray(e), bias.mu_right, bias.temperature
+            occ = _fermi(e, bias.mu_left, bias.temperature) - _fermi(
+                e, bias.mu_right, bias.temperature
             )
-            return float(occ) * float(transmittance_gf(p, e))
+            return occ * transmittance_gf(p, e)
     else:
 
         def integrand(e: float) -> float:
-            return float(transmittance_gf(p, e))
+            return transmittance_gf(p, e)
 
     breaks = [e for e in chain_resonances(p) if lo < e < hi]
     # QUADPACK needs more subintervals than break points; only then is the
     # limit raised, so every other call keeps its exact arguments.
     limit = cfg.limit + len(breaks) if len(breaks) >= cfg.limit else cfg.limit
-    value, abserr = scipy.integrate.quad(
+    # Imported here: identity, spectrum and evolve never integrate, so
+    # ``import qwire`` and those subcommands need only numpy.
+    from scipy.integrate import quad
+
+    value, abserr = quad(
         integrand,
         lo,
         hi,

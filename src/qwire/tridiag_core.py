@@ -231,14 +231,10 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
         return cof_sq - (seq[m.n - 1] ** 2 - seq[m.n - 2] * seq[m.n])
 
     ai, bi, _ = _dyadic_ints(float(m.alpha), float(m.beta))
-    b2 = bi * bi
-    prev2, prev = 0, 1
-    seq = [1]
-    for _ in range(m.n):
-        prev2, prev = prev, ai * prev - b2 * prev2
-        seq.append(prev)
-    residual = bi ** (2 * m.n - 2) - (seq[m.n - 1] ** 2 - seq[m.n - 2] * seq[m.n])
+    # The identity is homogeneous of degree 2n-2 in (alpha, beta), so the
+    # common power-of-two denominator cancels from the relative residual.
+    residual = identity_residual(SymToeplitzTridiag(ai, bi, m.n), EXACT)
     denom = bi ** (2 * m.n - 2)
     if denom == 0:
         return 0.0 if residual == 0 else math.inf
-    return float(Fraction(residual, denom))
+    return residual / denom  # int true division rounds correctly

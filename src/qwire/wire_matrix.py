@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrixError
 
@@ -110,15 +109,6 @@ class WireMatrix:
             m[i + 1, i] = -p.v
         return m
 
-    def to_banded(self) -> np.ndarray:
-        """(3, n) diagonal-ordered form for scipy.linalg.solve_banded."""
-        p = self.params
-        ab = np.zeros((3, p.n), dtype=complex)
-        ab[0, 1:] = -p.v
-        ab[1, :] = self.diagonal()
-        ab[2, :-1] = -p.v
-        return ab
-
     def norm_inf(self) -> float:
         """Maximum absolute row sum."""
         p = self.params
@@ -205,29 +195,32 @@ def corner_cofactor_wire(p: WireParams) -> float:
 def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
     """First column of the inverse wire matrix: solves C u = e_1.
 
-    Uses banded LU with partial pivoting rather than the pivot-free Thomas
-    sweep, since interior leading minors vanish at chain resonances.  The
-    solution is verified to satisfy the residual bound
+    A backward sweep over continuant ratios: ``r_n = v/d_n``,
+    ``r_i = v/(d_i - v r_{i+1})`` down to i = 2, ``u_1 = 1/(d_1 - v r_2)``
+    and ``u_i = r_i u_{i-1}``, with ``d`` the diagonal of C.  The ratio
+    ``r_i = v phi_{i+1}/phi_i`` involves only trailing continuants phi_i of
+    rows i..n, which contain the lead corner: the eigenvalues of such a
+    block have imaginary part > 0 when gamma > 0, so phi_i cannot vanish at
+    a real energy and no pivoting is needed, even at chain resonances where
+    the lead-free leading minors do vanish.  The solution is verified to
+    satisfy the residual bound
     ``||C u - e_1||_inf <= 1e-10 * max(1, ||C||_inf)``.
 
     Raises
     ------
     SingularMatrixError
-        Singular system or residual bound violated (only possible in the
-        gamma -> 0 limit, which WireParams excludes).
+        Residual bound violated or non-finite solution (only possible in
+        the gamma -> 0 limit, which WireParams excludes).
     """
     wm = WireMatrix(p, float(eps))
-    rhs = np.zeros(p.n, dtype=complex)
-    rhs[0] = 1.0
-    if p.n == 1:
-        d = wm.diagonal()[0]
-        if d == 0:
-            raise SingularMatrixError("1x1 wire matrix is singular")
-        return rhs / d
-    try:
-        u = scipy.linalg.solve_banded((1, 1), wm.to_banded(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"banded solve failed: {exc}") from exc
+    d = wm.diagonal()
+    r = np.zeros(p.n + 1, dtype=complex)  # r[n] = 0 closes the sweep
+    for i in range(p.n - 1, 0, -1):
+        r[i] = p.v / (d[i] - p.v * r[i + 1])
+    u = np.empty(p.n, dtype=complex)
+    u[0] = 1.0 / (d[0] - p.v * r[1])
+    for i in range(1, p.n):
+        u[i] = r[i] * u[i - 1]
     residual = _tridiag_apply(wm, u)
     residual[0] -= 1.0
     bound = 1e-10 * max(1.0, wm.norm_inf())

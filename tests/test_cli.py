@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -229,6 +230,18 @@ def test_current_csv_format():
     assert len(rows) == 2
 
 
+def test_current_underflow_exits_1_without_traceback():
+    # 200 sites with v = 0.01: |det C|**2 underflows to 0 inside the window.
+    code, out, err = run_text(
+        "current", "-N", "200", "--eps0", "0", "--v", "0.01", "--gamma", "0.5",
+        "--mu-l", "0.01", "--mu-r", "-0.01",
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("qwire: ") == 1 and err.endswith("\n")
+
+
 # --- evolve subcommand ---------------------------------------------------------------
 
 def test_evolve_columns_and_summary():
@@ -344,3 +357,36 @@ def test_wire_param_validation_exits_2():
     code, out, _ = run_text("spectrum", *spectrum_args(**{"--gamma": "-1"}))
     assert code == 2
     assert out == ""
+
+
+# --- import graph -------------------------------------------------------------------
+
+def test_only_current_imports_scipy():
+    # scipy serves only the Landauer quadrature; the other subcommands and
+    # ``import qwire`` itself must not load it.
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import qwire
+        from qwire import cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        before = scipy_modules()
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+            after_three = scipy_modules()
+            codes.append(cli.main(json.loads(sys.argv[2])))
+        print(json.dumps([codes, before, after_three, "scipy.integrate" in sys.modules]))
+    """)
+    others = [GOLDEN_INVOCATIONS[name] for name in ("identity.csv", "spectrum.csv", "evolve.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(others),
+         json.dumps(GOLDEN_INVOCATIONS["current.json"])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after_three, loaded_by_current = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert before == [] and after_three == []
+    assert loaded_by_current  # the probe does see scipy once it is imported

@@ -30,9 +30,6 @@ from oracles import scalar_evolution_exact
         dict(dt=-0.1, t_max=1.0),
         dict(dt=0.1, t_max=0.0),
         dict(dt=0.1, t_max=math.inf),
-        dict(dt=0.1, t_max=1.0, method="euler"),
-        dict(dt=0.1, t_max=1.0, convergence_window=2.0),
-        dict(dt=0.1, t_max=1.0, convergence_window=0.0),
     ],
 )
 def test_bad_configs_rejected(kwargs):

@@ -70,6 +70,16 @@ def test_gf_decays_far_from_band():
     assert transmittance_gf(p, -50.0) < 1e-10
 
 
+def test_gf_scalar_underflow_raises_numerical_error():
+    # 200 sites with v = 0.01: both cof**2 and |det C|**2 fall below the
+    # double range at eps = 0, so the scalar quotient would be 0/0.
+    p = WireParams(n=200, eps0=0.0, v=0.01, gamma=0.5)
+    with pytest.raises(NumericalError):
+        transmittance_gf(p, 0.0)
+    with pytest.raises(NumericalError):
+        landauer_current(p, BiasWindow(0.01, -0.01))
+
+
 def test_gf_matches_dense_inversion():
     rng = np.random.default_rng(3)
     for _ in range(200):

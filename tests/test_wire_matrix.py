@@ -10,6 +10,7 @@ from qwire import (
     SymToeplitzTridiag,
     WireMatrix,
     WireParams,
+    chain_resonances,
     corner_cofactor_wire,
     det_sequence,
     det_wire,
@@ -221,18 +222,23 @@ def test_first_column_cramer_consistency():
 
 
 def test_first_column_matches_dense_inverse():
+    # Random energies plus exact chain resonances, where lead-free leading
+    # minors vanish.
     rng = np.random.default_rng(41)
     for _ in range(40):
-        p = random_params(rng, n=int(rng.integers(1, 13)))
-        eps = float(rng.uniform(p.eps0 - 2, p.eps0 + 2))
-        u = first_inverse_column(p, eps)
-        inv = np.linalg.inv(dense_wire_matrix(p, eps))
-        assert np.max(np.abs(u - inv[:, 0])) < 1e-10 * max(1.0, np.max(np.abs(inv)))
+        p = random_params(rng, n=int(rng.integers(1, 201)))
+        resonances = chain_resonances(p)
+        for eps in (float(rng.uniform(p.eps0 - 2, p.eps0 + 2)),
+                    float(resonances[rng.integers(p.n)])):
+            u = first_inverse_column(p, eps)
+            inv = np.linalg.inv(dense_wire_matrix(p, eps))
+            assert np.max(np.abs(u - inv[:, 0])) < 1e-10 * max(1.0, np.max(np.abs(inv)))
 
 
 def test_first_column_robust_at_chain_resonance():
-    # interior leading minors vanish at eps = eps0 + 2 v cos(m pi / (n+1));
-    # pivoting must shrug this off
+    # Lead-free leading minors vanish at eps = eps0 + 2 v cos(m pi / (n+1)).
+    # The sweep divides only by trailing continuants that contain the lead
+    # corner, which cannot vanish at a real energy when gamma > 0.
     p = WireParams(n=5, eps0=0.0, v=1.0, gamma=0.4)
     eps = 2.0 * math.cos(math.pi / 6.0)
     u = first_inverse_column(p, eps)
@@ -241,14 +247,9 @@ def test_first_column_robust_at_chain_resonance():
 
 # --- assembled matrix --------------------------------------------------------
 
-def test_dense_and_banded_layouts_agree():
+def test_dense_layout_has_complex_corners_and_symmetry():
     p = WireParams(n=4, eps0=0.3, v=1.1, gamma=0.7)
-    wm = WireMatrix(p, -0.2)
-    dense = wm.to_dense()
-    ab = wm.to_banded()
-    assert np.array_equal(np.diag(dense), ab[1])
-    assert np.array_equal(np.diag(dense, 1), ab[0, 1:])
-    assert np.array_equal(np.diag(dense, -1), ab[2, :-1])
+    dense = WireMatrix(p, -0.2).to_dense()
     only_corners_complex = np.imag(dense).nonzero()
     assert set(zip(*only_corners_complex)) == {(0, 0), (3, 3)}
     assert np.array_equal(dense, dense.T)  # symmetric, not Hermitian
