@@ -42,7 +42,6 @@ from .transport import (
     CurrentResult,
     EOTerms,
     EquivalenceReport,
-    QuadratureConfig,
     TransmissionSpectrum,
     chain_resonances,
     eo_terms,
@@ -59,6 +58,7 @@ from .time_domain import (
     integrate,
     steady_state_amplitudes,
     steady_state_compare,
+    steady_state_horizon,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "ModeError",
     "NumericalError",
     "PreconditionError",
-    "QuadratureConfig",
     "QwireError",
     "SingularMatrixError",
     "SteadyStateReport",
@@ -105,6 +104,7 @@ __all__ = [
     "spectrum",
     "steady_state_amplitudes",
     "steady_state_compare",
+    "steady_state_horizon",
     "transmittance_eo",
     "transmittance_gf",
     "__version__",

@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import tridiag_core, transport, time_domain
 from .errors import QwireError
 from .tridiag_core import SymToeplitzTridiag
@@ -166,20 +164,12 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _csv_lines(meta: list[tuple[str, object]], header: list[str],
                rows: list[list[object]], trailer: list[tuple[str, object]] = ()) -> str:
-    lines = [f"# {key} = {_fmt_meta(value)}" for key, value in meta]
+    """CSV text from Python scalars, whose floats print in shortest round-trip form."""
+    lines = [f"# {key} = {value}" for key, value in meta]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt_meta(cell) for cell in row) for row in rows)
-    lines.extend(f"# {key} = {_fmt_meta(value)}" for key, value in trailer)
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(f"# {key} = {value}" for key, value in trailer)
     return "\n".join(lines) + "\n"
-
-
-def _fmt_meta(value) -> str:
-    """Format a metadata value or a table cell (shortest round-trip floats)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def _json_text(obj: dict) -> str:
@@ -200,14 +190,17 @@ def _wire_json(p: WireParams) -> dict:
 def cmd_identity(args: argparse.Namespace) -> None:
     if args.n_max < 2:
         raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
+    if args.mode == tridiag_core.EXACT:  # A_k does not depend on n: rows share one sequence
+        longest = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=args.n_max)
+        seq = tridiag_core.det_sequence(longest, tridiag_core.EXACT).values
+        beta = int(args.beta)  # exact mode has accepted only integral values
     rows = []
     for n in range(2, args.n_max + 1):
         m = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=n)
         if args.mode == tridiag_core.EXACT:
-            seq = tridiag_core.det_sequence(m, tridiag_core.EXACT).values
             cof_sq = tridiag_core.corner_cofactor(m) ** 2
             combination = seq[n - 1] ** 2 - seq[n - 2] * seq[n]
-            residual = tridiag_core.identity_residual(m, tridiag_core.EXACT)
+            residual = beta ** (2 * n - 2) - combination
         else:
             ds = tridiag_core.det_sequence(m, tridiag_core.FLOAT)
             values = [math.ldexp(v, ds.scale_exponent) for v in ds.values]
@@ -253,7 +246,7 @@ def cmd_spectrum(args: argparse.Namespace) -> None:
         ("points", args.points), ("method", args.method),
     ]
     if args.format == "csv":
-        rows = [list(row) for row in zip(*columns)]
+        rows = list(zip(*(col.tolist() for col in columns)))
         _emit(args, _csv_lines(meta, header, rows))
     else:
         payload = {
@@ -304,7 +297,7 @@ def cmd_evolve(args: argparse.Namespace) -> None:
     meta = _wire_meta(p) + [
         ("drive_energy", args.drive_energy), ("dt", args.dt), ("t_max", args.t_max),
     ]
-    if traj.times[-1] >= 10.0 / p.gamma:
+    if traj.times[-1] >= time_domain.steady_state_horizon(p):
         report = time_domain.steady_state_compare(traj, p)
         trailer = [
             ("steady_state_max_abs_deviation", report.max_abs_deviation),
@@ -323,10 +316,10 @@ def cmd_evolve(args: argparse.Namespace) -> None:
         for i in range(1, p.n + 1):
             header += [f"re_u{i}", f"im_u{i}", f"abs_u{i}"]
         rows = []
-        for k in range(traj.times.size):
-            row = [traj.times[k]]
-            for i in range(p.n):
-                z = traj.u[k, i]
+        for t, amplitudes in zip(traj.times.tolist(), traj.u.tolist()):
+            row = [t]
+            for z in amplitudes:
+                # Scalar abs: np.abs on the array differs in the last bit.
                 row += [z.real, z.imag, abs(z)]
             rows.append(row)
         _emit(args, _csv_lines(meta, header, rows, trailer=trailer))

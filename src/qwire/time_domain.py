@@ -166,6 +166,11 @@ def steady_state_amplitudes(p: WireParams, drive_energy: float) -> np.ndarray:
     return signs * p.v_lead * np.conj(u)
 
 
+def steady_state_horizon(p: WireParams) -> float:
+    """Shortest trajectory horizon ``steady_state_compare`` accepts: 10 / gamma."""
+    return 10.0 / p.gamma
+
+
 def steady_state_compare(
     traj: EvolutionTrajectory, p: WireParams, window: float | None = None
 ) -> SteadyStateReport:
@@ -180,9 +185,9 @@ def steady_state_compare(
         Horizon shorter than 10 / gamma, or window longer than the horizon.
     """
     t_end = float(traj.times[-1])
-    if t_end < 10.0 / p.gamma:
+    if t_end < steady_state_horizon(p):
         raise PreconditionError(
-            f"horizon {t_end:.6g} is shorter than 10/gamma = {10.0 / p.gamma:.6g}"
+            f"horizon {t_end:.6g} is shorter than 10/gamma = {steady_state_horizon(p):.6g}"
         )
     if window is None:
         window = 0.25 * t_end

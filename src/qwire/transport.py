@@ -9,7 +9,8 @@ while the evolution-operator route evaluates
     T(eps) = gamma**2 / (2 |det C|**2)
              * (cof**2 + Chat_{n-1}**2 - Chat_{n-2} * Chat_n).
 
-The two agree because the continuant identity turns
+Both read one ``HatDets``, which each public function evaluates once.  They
+agree because the continuant identity turns
 ``Chat_{n-1}**2 - Chat_{n-2}*Chat_n`` into ``v**(2n-2) = cof**2``; the
 equivalence report verifies that bridge in exact arithmetic and shows the
 combination is generically nonzero, i.e. the identity is doing real work.
@@ -23,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .tridiag_core import SymToeplitzTridiag, identity_residual
+from .tridiag_core import _identity_residual_rel
 from .wire_matrix import EnergyLike, HatDets, WireParams, corner_cofactor_wire, hat_dets
 
 _RECOMBINE_RTOL = 1e-9
 _RECOMBINE_ATOL = 1e-12
 _T_UPPER = 1.0 + 1e-9
+_QUAD_EPSABS = 1e-13
+_QUAD_EPSREL = 1e-10
+_QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -61,15 +65,6 @@ class BiasWindow:
                 raise ValueError(f"{name} must be finite")
         if self.temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive-quadrature knobs for the current integral."""
-
-    epsabs: float = 1e-13
-    epsrel: float = 1e-10
-    limit: int = 200
 
 
 @dataclass(frozen=True)
@@ -136,10 +131,17 @@ class EquivalenceReport:
 
 
 def _abs_det_sq(p: WireParams, h: HatDets) -> EnergyLike:
-    g = p.gamma
-    re = h.c_n - 0.25 * g * g * h.c_n2
-    im = g * h.c_n1
-    return re * re + im * im
+    re, im = h.corner_split(p.gamma)
+    det_sq = re * re + im * im
+    # Only a scalar quotient by 0.0 raises (ZeroDivisionError); arrays give nan or inf.
+    if isinstance(det_sq, float) and det_sq == 0.0:
+        raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
+    return det_sq
+
+
+def _gf(p: WireParams, h: HatDets) -> EnergyLike:
+    cof = corner_cofactor_wire(p)
+    return p.gamma ** 2 * cof * cof / _abs_det_sq(p, h)
 
 
 def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
@@ -153,12 +155,7 @@ def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
         Scalar energy at which ``|det C|**2`` underflows to 0 (an array
         energy yields ``nan`` or ``inf`` there instead).
     """
-    h = hat_dets(p, eps)
-    cof = corner_cofactor_wire(p)
-    try:
-        return p.gamma ** 2 * cof * cof / _abs_det_sq(p, h)
-    except ZeroDivisionError:
-        raise NumericalError(f"|det C|**2 underflows to 0 at energy {eps!r}") from None
+    return _gf(p, hat_dets(p, eps))
 
 
 def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
@@ -181,6 +178,22 @@ def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
     return EOTerms(term_u1=term_u1, term_uN=term_uN, term_im=term_im)
 
 
+def _eo(p: WireParams, h: HatDets) -> tuple[EnergyLike, EnergyLike]:
+    """EO transmittance and the hat gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n."""
+    det_sq = _abs_det_sq(p, h)
+    cof = corner_cofactor_wire(p)
+    gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
+    t = 0.5 * p.gamma ** 2 * (cof * cof + gap) / det_sq
+    terms = _eo_terms(p, h, det_sq)
+    recombined = (
+        0.5 * p.gamma / p.bandwidth * (terms.term_uN - terms.term_u1) + terms.term_im
+    )
+    tol = _RECOMBINE_RTOL * np.maximum(np.abs(t), np.abs(recombined)) + _RECOMBINE_ATOL
+    if not np.all(np.abs(recombined - t) <= tol):
+        raise NumericalError("averaged-term recombination disagrees with the closed form")
+    return t, gap
+
+
 def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
     """Evolution-operator transmittance, independent of the GF route.
 
@@ -192,23 +205,10 @@ def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
     ------
     NumericalError
         The recombined terms disagree with the closed form, or either is
-        non-finite (the recurrence overflowed far outside the band).
+        non-finite (the recurrence overflowed far outside the band), or
+        ``|det C|**2`` underflows to 0 at a scalar energy.
     """
-    h = hat_dets(p, eps)
-    det_sq = _abs_det_sq(p, h)
-    cof = corner_cofactor_wire(p)
-    gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
-    t = 0.5 * p.gamma ** 2 * (cof * cof + gap) / det_sq
-    terms = _eo_terms(p, h, det_sq)
-    recombined = (
-        0.5 * p.gamma / p.bandwidth * (terms.term_uN - terms.term_u1) + terms.term_im
-    )
-    tol = _RECOMBINE_RTOL * np.maximum(np.abs(t), np.abs(recombined)) + _RECOMBINE_ATOL
-    if not np.all(np.abs(recombined - t) <= tol):
-        raise NumericalError(
-            "averaged-term recombination disagrees with the closed form"
-        )
-    return t
+    return _eo(p, hat_dets(p, eps))[0]
 
 
 def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport:
@@ -222,14 +222,12 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
     grid = np.atleast_1d(np.asarray(energies, dtype=float))
     if grid.size == 0:
         raise PreconditionError("energy grid must be non-empty")
-    t_gf = transmittance_gf(p, grid)
-    t_eo = transmittance_eo(p, grid)
-    diff = np.abs(t_gf - t_eo)
     h = hat_dets(p, grid)
-    gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
+    t_gf = _gf(p, h)
+    t_eo, gap = _eo(p, h)
+    diff = np.abs(t_gf - t_eo)
     bridge = np.array([
-        abs(identity_residual(SymToeplitzTridiag(p.eps0 - e, -p.v, p.n)))
-        if p.n > 1 else 0.0
+        abs(_identity_residual_rel(p.eps0 - e, -p.v, p.n)) if p.n > 1 else 0.0
         for e in grid
     ])
     return EquivalenceReport(
@@ -265,8 +263,9 @@ def spectrum(
     if method not in ("gf", "eo", "both"):
         raise ValueError(f"method must be gf, eo or both, got {method!r}")
     grid = np.linspace(e_min, e_max, points)
-    t_gf = transmittance_gf(p, grid) if method in ("gf", "both") else None
-    t_eo = transmittance_eo(p, grid) if method in ("eo", "both") else None
+    h = hat_dets(p, grid)
+    t_gf = _gf(p, h) if method in ("gf", "both") else None
+    t_eo = _eo(p, h)[0] if method in ("eo", "both") else None
     return TransmissionSpectrum(
         energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo
     )
@@ -282,21 +281,16 @@ def _fermi(eps: float, mu: float, temperature: float) -> float:
     return 0.5 - 0.5 * math.tanh(0.5 * (eps - mu) / temperature)
 
 
-def landauer_current(
-    p: WireParams,
-    bias: BiasWindow,
-    quadrature: QuadratureConfig | None = None,
-) -> CurrentResult:
+def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     """Landauer current integral(f_L - f_R) * T(eps) deps, in units e = hbar = 1.
 
     At temperature zero the integrand support is exactly the bias window; at
     finite temperature the window is padded by 40 k_B T on both sides, beyond
     which the occupation difference is below 1e-17.  Chain resonance energies
     are passed to the quadrature as break points so narrow peaks are not
-    missed; when there are at least ``quadrature.limit`` of them, the
-    subinterval limit is raised by their count.  Zero bias returns exactly 0.
+    missed; when there are at least 200 of them (the subinterval limit), the
+    limit is raised by their count.  Zero bias returns exactly 0.
     """
-    cfg = quadrature or QuadratureConfig()
     if bias.mu_left == bias.mu_right:
         return CurrentResult(value=0.0, error_estimate=0.0, window=(bias.mu_left, bias.mu_right))
     lo = min(bias.mu_left, bias.mu_right)
@@ -320,7 +314,7 @@ def landauer_current(
     breaks = [e for e in chain_resonances(p) if lo < e < hi]
     # QUADPACK needs more subintervals than break points; only then is the
     # limit raised, so every other call keeps its exact arguments.
-    limit = cfg.limit + len(breaks) if len(breaks) >= cfg.limit else cfg.limit
+    limit = _QUAD_LIMIT + len(breaks) if len(breaks) >= _QUAD_LIMIT else _QUAD_LIMIT
     # Imported here: identity, spectrum and evolve never integrate, so
     # ``import qwire`` and those subcommands need only numpy.
     from scipy.integrate import quad
@@ -331,8 +325,8 @@ def landauer_current(
         hi,
         points=sorted(breaks) or None,
         limit=limit,
-        epsabs=cfg.epsabs,
-        epsrel=cfg.epsrel,
+        epsabs=_QUAD_EPSABS,
+        epsrel=_QUAD_EPSREL,
     )
     if bias.temperature == 0.0:
         value *= sign

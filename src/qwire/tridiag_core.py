@@ -18,6 +18,7 @@ which ties the squared corner cofactor to three consecutive determinants.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -113,6 +114,15 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _exact_continuants(alpha, b2, n: int):
+    """Yield A_0, A_1, ..., A_n of the recurrence in exact arithmetic."""
+    prev2, prev = 0, 1
+    yield prev
+    for _ in range(n):
+        prev2, prev = prev, alpha * prev - b2 * prev2
+        yield prev
+
+
 def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
     """Determinant sequence [A_0, A_1, ..., A_n] via the three-term recurrence.
 
@@ -130,13 +140,7 @@ def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
     if mode == EXACT:
         alpha = _as_exact(m.alpha, "alpha")
         beta = _as_exact(m.beta, "beta")
-        b2 = beta * beta
-        values = [1]
-        prev2, prev = 0, 1
-        for _ in range(m.n):
-            prev2, prev = prev, alpha * prev - b2 * prev2
-            values.append(prev)
-        return DetSequence(values=tuple(values), scale_exponent=0)
+        return DetSequence(values=tuple(_exact_continuants(alpha, beta * beta, m.n)))
 
     alpha = float(m.alpha)
     b2 = float(m.beta) * float(m.beta)
@@ -198,12 +202,25 @@ def corner_cofactor(m: SymToeplitzTridiag):
     return m.beta ** (m.n - 1)
 
 
-def _dyadic_ints(alpha: float, beta: float) -> tuple[int, int, int]:
-    """Represent two doubles as integers over a common power-of-two denominator."""
+def _exact_identity_residual(alpha, beta, n: int):
+    """beta**(2n-2) - (A_{n-1}**2 - A_{n-2} A_n) in exact arithmetic, n >= 2."""
+    a_n2, a_n1, a_n = deque(_exact_continuants(alpha, beta * beta, n), maxlen=3)
+    return beta ** (2 * n - 2) - (a_n1 ** 2 - a_n2 * a_n)
+
+
+def _identity_residual_rel(alpha: float, beta: float, n: int) -> float:
+    """Float-mode identity residual of two doubles, relative to beta**(2n-2), n >= 2."""
+    # Scale both doubles to integers over a common power-of-two denominator;
+    # the identity is homogeneous of degree 2n-2, so the scale cancels.
     na, da = float(alpha).as_integer_ratio()
     nb, db = float(beta).as_integer_ratio()
-    den = max(da, db)  # both denominators are powers of two
-    return na * (den // da), nb * (den // db), den
+    den = max(da, db)
+    ai, bi = na * (den // da), nb * (den // db)
+    residual = _exact_identity_residual(ai, bi, n)
+    denom = bi ** (2 * n - 2)
+    if denom == 0:
+        return 0.0 if residual == 0 else math.inf
+    return residual / denom  # int true division rounds correctly
 
 
 def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
@@ -225,16 +242,6 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
     if m.n < 2:
         raise DomainError("identity residual needs n >= 2")
     if mode == EXACT:
-        seq = det_sequence(m, EXACT).values
-        beta = _as_exact(m.beta, "beta")
-        cof_sq = beta ** (2 * m.n - 2)
-        return cof_sq - (seq[m.n - 1] ** 2 - seq[m.n - 2] * seq[m.n])
-
-    ai, bi, _ = _dyadic_ints(float(m.alpha), float(m.beta))
-    # The identity is homogeneous of degree 2n-2 in (alpha, beta), so the
-    # common power-of-two denominator cancels from the relative residual.
-    residual = identity_residual(SymToeplitzTridiag(ai, bi, m.n), EXACT)
-    denom = bi ** (2 * m.n - 2)
-    if denom == 0:
-        return 0.0 if residual == 0 else math.inf
-    return residual / denom  # int true division rounds correctly
+        alpha = _as_exact(m.alpha, "alpha")
+        return _exact_identity_residual(alpha, _as_exact(m.beta, "beta"), m.n)
+    return _identity_residual_rel(m.alpha, m.beta, m.n)

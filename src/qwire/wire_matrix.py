@@ -132,6 +132,10 @@ class HatDets:
     c_n1: EnergyLike
     c_n2: EnergyLike
 
+    def corner_split(self, gamma: float) -> tuple[EnergyLike, EnergyLike]:
+        """Real and imaginary parts of det C, split over the corners (module docstring)."""
+        return self.c_n - 0.25 * gamma * gamma * self.c_n2, gamma * self.c_n1
+
 
 def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     """Lead-free determinants (Chat_n, Chat_{n-1}, Chat_{n-2}) at probe energy ``eps``.
@@ -168,18 +172,13 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
 
 
 def det_wire(p: WireParams, eps: EnergyLike) -> Union[complex, np.ndarray]:
-    """Determinant of the wire matrix via the corner-perturbation split.
+    """Determinant of the wire matrix via the corner split of ``HatDets``.
 
-    Expanding the two ``i*gamma/2`` corner entries of the determinant gives
-
-        det C = Chat_n + i*gamma*Chat_{n-1} - (gamma**2/4)*Chat_{n-2},
-
-    validated against dense complex determinants in the test suite.  Accepts
+    Validated against dense complex determinants in the test suite.  Accepts
     a scalar or an array of energies.
     """
-    h = hat_dets(p, eps)
-    g = p.gamma
-    return h.c_n - 0.25 * g * g * h.c_n2 + 1j * (g * h.c_n1)
+    re, im = hat_dets(p, eps).corner_split(p.gamma)
+    return re + 1j * im
 
 
 def corner_cofactor_wire(p: WireParams) -> float:

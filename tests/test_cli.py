@@ -8,6 +8,21 @@ import textwrap
 
 import pytest
 
+from qwire import (
+    EXACT,
+    IntegratorConfig,
+    PreconditionError,
+    SymToeplitzTridiag,
+    WireParams,
+    cli,
+    corner_cofactor,
+    det_sequence,
+    identity_residual,
+    integrate,
+    steady_state_compare,
+    steady_state_horizon,
+)
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 GOLDEN_INVOCATIONS = {
@@ -95,6 +110,23 @@ def test_identity_json_format():
     payload = json.loads(out)
     assert payload["schema_version"] == 1
     assert payload["rows"] == [{"n": 2, "cof_sq": 1, "det_combination": 1, "residual": 0}]
+
+
+@pytest.mark.parametrize("alpha, beta", [("3", "1"), ("-5", "7"), ("2.0", "3.0")])
+def test_identity_exact_rows_match_per_size_library_calls(alpha, beta, capsys):
+    # The table reads every row from one n_max sequence; each cell must still
+    # print as the per-size calls give it, type included (3.0 makes cof_sq a
+    # float while the residual stays an exact int).
+    assert cli.main(["identity", "--alpha", alpha, "--beta", beta, "--n-max", "40"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(("#", "n,"))]
+    assert len(rows) == 39
+    for n, row in enumerate(rows, start=2):
+        m = SymToeplitzTridiag(cli._number(alpha), cli._number(beta), n)
+        seq = det_sequence(m, EXACT).values
+        expected = [n, corner_cofactor(m) ** 2, seq[n - 1] ** 2 - seq[n - 2] * seq[n],
+                    identity_residual(m, EXACT)]
+        assert row == ",".join(map(repr, expected))
 
 
 def test_identity_exact_rejects_fractional_input():
@@ -276,6 +308,25 @@ def test_evolve_resolution_guard_exits_2():
     )
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("t_max, skipped", [("9.9", True), ("10", False)])
+def test_evolve_summary_follows_steady_state_horizon(t_max, skipped, capsys):
+    # The CLI skips the comparison exactly where steady_state_compare refuses.
+    assert cli.main([
+        "evolve", "-N", "1", "--eps0", "0", "--v", "1", "--gamma", "1",
+        "--drive-energy", "0.0", "--dt", "0.1", "--t-max", t_max,
+    ]) == 0
+    out = capsys.readouterr().out
+    assert ("# steady_state_comparison = skipped (t_max < 10/gamma)" in out) == skipped
+    p = WireParams(n=1, eps0=0.0, v=1.0, gamma=1.0)
+    traj = integrate(p, 0.0, IntegratorConfig(dt=0.1, t_max=float(t_max)))
+    assert (traj.times[-1] < steady_state_horizon(p)) == skipped
+    if skipped:
+        with pytest.raises(PreconditionError):
+            steady_state_compare(traj, p)
+    else:
+        steady_state_compare(traj, p)
 
 
 def test_evolve_json_format():

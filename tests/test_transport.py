@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwire.transport as transport
 from qwire import (
     BiasWindow,
     NumericalError,
     PreconditionError,
-    QuadratureConfig,
+    SymToeplitzTridiag,
     TransmissionSpectrum,
     WireParams,
     chain_resonances,
     eo_terms,
     equivalence_report,
     hat_dets,
+    identity_residual,
     landauer_current,
     spectrum,
     transmittance_eo,
@@ -74,8 +76,9 @@ def test_gf_scalar_underflow_raises_numerical_error():
     # 200 sites with v = 0.01: both cof**2 and |det C|**2 fall below the
     # double range at eps = 0, so the scalar quotient would be 0/0.
     p = WireParams(n=200, eps0=0.0, v=0.01, gamma=0.5)
-    with pytest.raises(NumericalError):
-        transmittance_gf(p, 0.0)
+    for route in (transmittance_gf, transmittance_eo, eo_terms):
+        with pytest.raises(NumericalError):
+            route(p, 0.0)
     with pytest.raises(NumericalError):
         landauer_current(p, BiasWindow(0.01, -0.01))
 
@@ -221,6 +224,83 @@ def test_equivalence_gap_two_sites_hand_value():
     rep = equivalence_report(p, np.array([0.0]))
     # Chat_1^2 - Chat_0 Chat_2 = 0 - (-v^2) = v^2: nonzero, the identity is needed
     assert rep.hat_gap[0] == pytest.approx(v * v, rel=1e-14)
+
+
+def _public_routes(p, grid):
+    """Both routes, or the error they raise, through the public functions."""
+    try:
+        return transmittance_gf(p, grid), transmittance_eo(p, grid)
+    except NumericalError as exc:
+        return exc
+
+
+def test_shared_hat_dets_bit_identical_to_public_routes():
+    # spectrum and equivalence_report evaluate hat_dets once and derive both
+    # routes from it; every column must equal the separate public calls.
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        p = WireParams(
+            n=int(rng.integers(1, 401)),
+            eps0=float(rng.uniform(-1, 1)),
+            v=float(rng.choice([-1, 1]) * rng.uniform(0.3, 2.0)),
+            gamma=float(rng.uniform(0.05, 3.0)),
+        )
+        edge = 2.0 * abs(p.v)  # band [eps0 - edge, eps0 + edge]
+        reach = float(rng.uniform(0.5, 1.3))
+        lo, hi = p.eps0 - reach * edge, p.eps0 + reach * edge
+        with np.errstate(all="ignore"):
+            grid = np.linspace(lo, hi, 257)
+            public = _public_routes(p, grid)
+            if isinstance(public, Exception):
+                with pytest.raises(NumericalError):
+                    spectrum(p, lo, hi, 257, "both")
+            elif min(public[0].min(), public[1].min()) < 0.0:  # EO rounding out of band
+                with pytest.raises(ValueError):
+                    spectrum(p, lo, hi, 257, "both")
+            else:
+                spec = spectrum(p, lo, hi, 257, "both")
+                assert list(map(_bits, spec.t_gf)) == list(map(_bits, public[0]))
+                assert list(map(_bits, spec.t_eo)) == list(map(_bits, public[1]))
+
+            energies = np.sort(rng.uniform(lo, hi, 6))
+            public = _public_routes(p, energies)
+            if isinstance(public, Exception):
+                with pytest.raises(NumericalError):
+                    equivalence_report(p, energies)
+                continue
+            rep = equivalence_report(p, energies)
+            h = hat_dets(p, energies)
+        diff = np.abs(public[0] - public[1])
+        gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
+        bridge = [
+            abs(identity_residual(SymToeplitzTridiag(p.eps0 - e, -p.v, p.n))) if p.n > 1 else 0.0
+            for e in energies
+        ]
+        assert list(map(_bits, rep.abs_diff)) == list(map(_bits, diff))
+        assert list(map(_bits, rep.hat_gap)) == list(map(_bits, gap))
+        assert list(map(_bits, rep.bridge_residual_rel)) == list(map(_bits, bridge))
+
+
+def test_hat_dets_evaluated_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(p, eps):
+        calls.append(eps)
+        return hat_dets(p, eps)
+
+    monkeypatch.setattr(transport, "hat_dets", counting)
+    p = WireParams(n=6, eps0=0.1, v=0.9, gamma=0.7)
+    grid = np.linspace(-2.0, 2.0, 11)
+    for call in (
+        lambda: spectrum(p, -2.0, 2.0, 11, "both"),
+        lambda: equivalence_report(p, grid),
+        lambda: transmittance_gf(p, grid),
+        lambda: transmittance_eo(p, 0.3),
+        lambda: eo_terms(p, 0.3),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 def test_equivalence_report_rejects_empty_grid():
@@ -380,13 +460,6 @@ def test_current_window_padding_at_finite_temperature():
     assert res.window[1] == pytest.approx(1.0 + 2.0)
 
 
-def test_current_quadrature_config_respected():
-    p = WireParams(n=1, eps0=0.0, v=1.0, gamma=0.5)
-    res = landauer_current(p, BiasWindow(2.0, -2.0), QuadratureConfig(epsrel=1e-12, limit=300))
-    oracle = lorentzian_window_integral(0.5, 2.0)
-    assert res.value == pytest.approx(oracle, rel=1e-11)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("temperature", [0.0, 0.05])
 def test_current_matches_dense_grid(n, temperature):
@@ -397,11 +470,12 @@ def test_current_matches_dense_grid(n, temperature):
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_current_more_resonances_than_subinterval_limit():
+def test_current_more_resonances_than_subinterval_limit(monkeypatch):
     # All 20 chain resonances lie in the window, at least the limit of 10:
     # the subinterval limit is raised instead of quad rejecting the input.
+    monkeypatch.setattr(transport, "_QUAD_LIMIT", 10)
     p = WireParams(n=20, eps0=0.0, v=1.0, gamma=1.0)
-    res = landauer_current(p, BiasWindow(2.5, -2.5), QuadratureConfig(limit=10))
+    res = landauer_current(p, BiasWindow(2.5, -2.5))
     oracle = current_dense_grid(p, 2.5, -2.5, points=20001)
     assert math.isfinite(res.error_estimate)
     assert abs(res.value - oracle) <= res.error_estimate
