@@ -27,6 +27,7 @@ from .tridiag_core import (
     det_chebyshev,
     det_sequence,
     identity_residual,
+    identity_residuals,
 )
 from .wire_matrix import (
     HatDets,
@@ -99,6 +100,7 @@ __all__ = [
     "first_inverse_column",
     "hat_dets",
     "identity_residual",
+    "identity_residuals",
     "integrate",
     "landauer_current",
     "spectrum",

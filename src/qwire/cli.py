@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import tridiag_core, transport, time_domain
-from .errors import QwireError
+from .errors import NumericalError, QwireError
 from .tridiag_core import SymToeplitzTridiag
 from .transport import BiasWindow
 from .time_domain import IntegratorConfig
@@ -87,15 +87,11 @@ def _add_wire_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--v", type=float, required=True, help="nearest-neighbour hopping")
     sp.add_argument("--gamma", type=float, required=True, help="lead broadening")
     sp.add_argument("--bandwidth", type=float, default=1.0, help="lead band width (default 1)")
-    sp.add_argument("--v-lead", type=float, default=None,
-                    help="lead coupling (derived from gamma and bandwidth if omitted)")
 
 
 def _wire_params(args: argparse.Namespace) -> WireParams:
-    return WireParams(
-        n=args.sites, eps0=args.eps0, v=args.v, gamma=args.gamma,
-        bandwidth=args.bandwidth, v_lead=args.v_lead,
-    )
+    return WireParams(n=args.sites, eps0=args.eps0, v=args.v, gamma=args.gamma,
+                      bandwidth=args.bandwidth)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,47 +179,35 @@ def _wire_meta(p: WireParams) -> list[tuple[str, object]]:
     ]
 
 
-def _wire_json(p: WireParams) -> dict:
-    return dict(_wire_meta(p))
-
-
 def cmd_identity(args: argparse.Namespace) -> None:
     if args.n_max < 2:
         raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
-    if args.mode == tridiag_core.EXACT:  # A_k does not depend on n: rows share one sequence
-        longest = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=args.n_max)
-        seq = tridiag_core.det_sequence(longest, tridiag_core.EXACT).values
-        beta = int(args.beta)  # exact mode has accepted only integral values
+    # A_k does not depend on the matrix size, so one n_max pass feeds every row.
+    m = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=args.n_max)
+    dets = tridiag_core.det_sequence(m, args.mode).unscaled()
+    residuals = tridiag_core.identity_residuals(m, args.mode)
+    cof_type = float if args.mode == tridiag_core.FLOAT else type(args.beta)
     rows = []
-    for n in range(2, args.n_max + 1):
-        m = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=n)
-        if args.mode == tridiag_core.EXACT:
-            cof_sq = tridiag_core.corner_cofactor(m) ** 2
-            combination = seq[n - 1] ** 2 - seq[n - 2] * seq[n]
-            residual = beta ** (2 * n - 2) - combination
-        else:
-            ds = tridiag_core.det_sequence(m, tridiag_core.FLOAT)
-            values = [math.ldexp(v, ds.scale_exponent) for v in ds.values]
-            cof_sq = float(tridiag_core.corner_cofactor(m)) ** 2
-            combination = values[n - 1] ** 2 - values[n - 2] * values[n]
-            residual = tridiag_core.identity_residual(m, tridiag_core.FLOAT)
-        rows.append([n, cof_sq, combination, residual])
+    for n, residual in zip(range(2, args.n_max + 1), residuals):
+        try:
+            row = [n, cof_type(args.beta ** (n - 1)) ** 2,
+                   dets[n - 1] ** 2 - dets[n - 2] * dets[n], residual]
+        except OverflowError:  # a float power or square beyond the double range
+            row = [math.inf]
+        if not all(math.isfinite(c) for c in row if isinstance(c, float)):
+            raise NumericalError(f"identity row n={n} leaves the double range")
+        rows.append(row)
     meta = [("alpha", args.alpha), ("beta", args.beta),
             ("n_max", args.n_max), ("mode", args.mode)]
+    header = ["n", "cof_sq", "det_combination", "residual"]
     if args.format == "csv":
-        _emit(args, _csv_lines(meta, ["n", "cof_sq", "det_combination", "residual"], rows))
+        _emit(args, _csv_lines(meta, header, rows))
     else:
         _emit(args, _json_text({
             "schema_version": SCHEMA_VERSION,
             "command": "identity",
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "n_max": args.n_max,
-            "mode": args.mode,
-            "rows": [
-                {"n": n, "cof_sq": c, "det_combination": d, "residual": r}
-                for n, c, d, r in rows
-            ],
+            **dict(meta),
+            "rows": [dict(zip(header, row)) for row in rows],
         }))
 
 
@@ -252,7 +236,7 @@ def cmd_spectrum(args: argparse.Namespace) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "spectrum",
-            "params": _wire_json(p),
+            "params": dict(_wire_meta(p)),
             "e_min": args.e_min,
             "e_max": args.e_max,
             "points": args.points,
@@ -271,7 +255,7 @@ def cmd_current(args: argparse.Namespace) -> None:
         _emit(args, _json_text({
             "schema_version": SCHEMA_VERSION,
             "command": "current",
-            "params": _wire_json(p),
+            "params": dict(_wire_meta(p)),
             "bias": {"mu_left": bias.mu_left, "mu_right": bias.mu_right,
                      "temperature": bias.temperature},
             "value": result.value,
@@ -327,7 +311,7 @@ def cmd_evolve(args: argparse.Namespace) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "evolve",
-            "params": _wire_json(p),
+            "params": dict(_wire_meta(p)),
             "drive_energy": args.drive_energy,
             "dt": args.dt,
             "t_max": args.t_max,

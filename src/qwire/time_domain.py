@@ -171,28 +171,20 @@ def steady_state_horizon(p: WireParams) -> float:
     return 10.0 / p.gamma
 
 
-def steady_state_compare(
-    traj: EvolutionTrajectory, p: WireParams, window: float | None = None
-) -> SteadyStateReport:
-    """Trailing-window comparison of a trajectory against the steady state.
-
-    Requires the trajectory to reach at least t = 10 / gamma.  The window
-    defaults to the trailing quarter of the horizon.
+def steady_state_compare(traj: EvolutionTrajectory, p: WireParams) -> SteadyStateReport:
+    """Compare the trailing quarter of a trajectory against the steady state.
 
     Raises
     ------
     PreconditionError
-        Horizon shorter than 10 / gamma, or window longer than the horizon.
+        Horizon shorter than 10 / gamma.
     """
     t_end = float(traj.times[-1])
     if t_end < steady_state_horizon(p):
         raise PreconditionError(
             f"horizon {t_end:.6g} is shorter than 10/gamma = {steady_state_horizon(p):.6g}"
         )
-    if window is None:
-        window = 0.25 * t_end
-    if not (0.0 < window <= t_end):
-        raise PreconditionError("window must lie in (0, t_max]")
+    window = 0.25 * t_end
     mask = traj.times >= t_end - window
     omega = p.eps0 - traj.drive_energy
     predicted = steady_state_amplitudes(p, traj.drive_energy)

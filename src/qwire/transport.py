@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .tridiag_core import _identity_residual_rel
+from .tridiag_core import FLOAT, _residuals
 from .wire_matrix import EnergyLike, HatDets, WireParams, corner_cofactor_wire, hat_dets
 
 _RECOMBINE_RTOL = 1e-9
@@ -227,7 +227,7 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
     t_eo, gap = _eo(p, h)
     diff = np.abs(t_gf - t_eo)
     bridge = np.array([
-        abs(_identity_residual_rel(p.eps0 - e, -p.v, p.n)) if p.n > 1 else 0.0
+        abs(_residuals(p.eps0 - e, -p.v, FLOAT, p.n, p.n)[0]) if p.n > 1 else 0.0
         for e in grid
     ])
     return EquivalenceReport(

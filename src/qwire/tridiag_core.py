@@ -18,7 +18,6 @@ which ties the squared corner cofactor to three consecutive determinants.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -77,19 +76,32 @@ class SymToeplitzTridiag:
 class DetSequence:
     """Determinant sequence [A_0, ..., A_n], possibly rescaled by 2**-scale_exponent.
 
-    ``values[k] * 2**scale_exponent`` approximates A_k.  In exact mode the
-    exponent is always 0 and the values are ints or Fractions.
+    In exact mode the exponent is always 0 and the values are ints or
+    Fractions.  In float mode every rescale multiplies the entries stored so
+    far by 2**-512, so after repeated rescales the earliest entries underflow
+    to subnormals or 0: ``values[k] * 2**scale_exponent`` approximates A_k
+    only for the entries that survive.
     """
 
     values: tuple
     scale_exponent: int = 0
 
-    def determinant(self):
-        """Last element with the scale undone (may overflow to inf in float mode)."""
-        last = self.values[-1]
+    def unscaled(self) -> tuple:
+        """All entries with the scale undone; signed infinity beyond the double range."""
         if self.scale_exponent == 0:
-            return last
-        return math.ldexp(last, self.scale_exponent)
+            return self.values
+        return tuple(_ldexp(v, self.scale_exponent) for v in self.values)
+
+    def determinant(self):
+        """Last element with the scale undone (see ``unscaled``)."""
+        return self.unscaled()[-1]
+
+
+def _ldexp(value: float, exponent: int) -> float:
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def _as_exact(value: Scalar, name: str) -> Union[int, Fraction]:
@@ -202,25 +214,39 @@ def corner_cofactor(m: SymToeplitzTridiag):
     return m.beta ** (m.n - 1)
 
 
-def _exact_identity_residual(alpha, beta, n: int):
-    """beta**(2n-2) - (A_{n-1}**2 - A_{n-2} A_n) in exact arithmetic, n >= 2."""
-    a_n2, a_n1, a_n = deque(_exact_continuants(alpha, beta * beta, n), maxlen=3)
-    return beta ** (2 * n - 2) - (a_n1 ** 2 - a_n2 * a_n)
+def _identity_inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
+    """Validated (alpha, beta) of ``m`` for ``_residuals``."""
+    _check_mode(mode)
+    if m.n < 2:
+        raise DomainError("identity residual needs n >= 2")
+    if mode == EXACT:
+        return _as_exact(m.alpha, "alpha"), _as_exact(m.beta, "beta")
+    return m.alpha, m.beta
 
 
-def _identity_residual_rel(alpha: float, beta: float, n: int) -> float:
-    """Float-mode identity residual of two doubles, relative to beta**(2n-2), n >= 2."""
-    # Scale both doubles to integers over a common power-of-two denominator;
-    # the identity is homogeneous of degree 2n-2, so the scale cancels.
-    na, da = float(alpha).as_integer_ratio()
-    nb, db = float(beta).as_integer_ratio()
-    den = max(da, db)
-    ai, bi = na * (den // da), nb * (den // db)
-    residual = _exact_identity_residual(ai, bi, n)
-    denom = bi ** (2 * n - 2)
-    if denom == 0:
-        return 0.0 if residual == 0 else math.inf
-    return residual / denom  # int true division rounds correctly
+def _residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
+    """Identity residuals at sizes n = n_min, ..., n_max >= 2 from one exact continuant pass."""
+    if mode == FLOAT:
+        # Scale both doubles to integers over a common power-of-two denominator;
+        # the identity is homogeneous of degree 2n-2, so the scale cancels.
+        na, da = float(alpha).as_integer_ratio()
+        nb, db = float(beta).as_integer_ratio()
+        den = max(da, db)
+        alpha, beta = na * (den // da), nb * (den // db)
+    out = []
+    a_n2 = a_n1 = 0
+    for n, a_n in enumerate(_exact_continuants(alpha, beta * beta, n_max)):
+        if n >= n_min:
+            power = beta ** (2 * n - 2)
+            residual = power - (a_n1 ** 2 - a_n2 * a_n)
+            if mode == EXACT:
+                out.append(residual)
+            elif power == 0:
+                out.append(0.0 if residual == 0 else math.inf)
+            else:
+                out.append(residual / power)  # int true division rounds correctly
+        a_n2, a_n1 = a_n1, a_n
+    return out
 
 
 def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
@@ -238,10 +264,12 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
     DomainError
         n < 2 (A_{n-2} undefined below the A_0 convention).
     """
-    _check_mode(mode)
-    if m.n < 2:
-        raise DomainError("identity residual needs n >= 2")
-    if mode == EXACT:
-        alpha = _as_exact(m.alpha, "alpha")
-        return _exact_identity_residual(alpha, _as_exact(m.beta, "beta"), m.n)
-    return _identity_residual_rel(m.alpha, m.beta, m.n)
+    return _residuals(*_identity_inputs(m, mode), mode, m.n, m.n)[0]
+
+
+def identity_residuals(m: SymToeplitzTridiag, mode: str = FLOAT) -> list:
+    """``identity_residual`` of the leading blocks of sizes n = 2, ..., m.n, in one pass.
+
+    Raises DomainError when m.n < 2.
+    """
+    return _residuals(*_identity_inputs(m, mode), mode, m.n, 2)

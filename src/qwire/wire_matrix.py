@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -43,9 +43,8 @@ class WireParams:
         both leads.
     bandwidth : float
         Effective lead band width D (> 0).
-    v_lead : float, optional
-        Lead-wire coupling.  Derived from ``gamma = 2*pi*v_lead**2/bandwidth``
-        when omitted; if supplied it must satisfy that relation.
+
+    The lead-wire coupling ``v_lead`` is a property derived from these.
     """
 
     n: int
@@ -53,7 +52,6 @@ class WireParams:
     v: float
     gamma: float
     bandwidth: float = 1.0
-    v_lead: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
@@ -69,18 +67,11 @@ class WireParams:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.v == 0.0:
             raise ValueError("hopping v must be nonzero")
-        derived = math.sqrt(self.gamma * self.bandwidth / TWO_PI)
-        if self.v_lead is None:
-            object.__setattr__(self, "v_lead", derived)
-        else:
-            if not math.isfinite(self.v_lead):
-                raise ValueError("v_lead must be finite")
-            implied = TWO_PI * self.v_lead ** 2 / self.bandwidth
-            if abs(implied - self.gamma) > 1e-9 * self.gamma:
-                raise ValueError(
-                    f"v_lead={self.v_lead} inconsistent with gamma={self.gamma} "
-                    f"and bandwidth={self.bandwidth} (implies gamma={implied})"
-                )
+
+    @property
+    def v_lead(self) -> float:
+        """Lead-wire coupling, from the wide-band relation gamma = 2*pi*v_lead**2/bandwidth."""
+        return math.sqrt(self.gamma * self.bandwidth / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -120,12 +111,12 @@ class WireMatrix:
         return max(corner, abs(p.eps0 - self.energy) + 2.0 * abs(p.v))
 
 
-@dataclass(frozen=True)
-class HatDets:
+class HatDets(NamedTuple):
     """Determinants of the lead-free wire matrix at dimensions n, n-1, n-2.
 
     Conventions Chat_0 = 1 and Chat_{-1} = 0 cover the small-n cases.  The
-    fields are scalars or arrays, matching the probe-energy argument.
+    fields are scalars or arrays, matching the probe-energy argument.  A
+    named tuple because one is built per quadrature evaluation.
     """
 
     c_n: EnergyLike

@@ -1,6 +1,7 @@
 """Command-line interface: golden regressions, exit codes, formats, config."""
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from qwire import (
     EXACT,
+    FLOAT,
     IntegratorConfig,
     PreconditionError,
     SymToeplitzTridiag,
@@ -21,6 +23,7 @@ from qwire import (
     integrate,
     steady_state_compare,
     steady_state_horizon,
+    tridiag_core,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -112,21 +115,55 @@ def test_identity_json_format():
     assert payload["rows"] == [{"n": 2, "cof_sq": 1, "det_combination": 1, "residual": 0}]
 
 
-@pytest.mark.parametrize("alpha, beta", [("3", "1"), ("-5", "7"), ("2.0", "3.0")])
-def test_identity_exact_rows_match_per_size_library_calls(alpha, beta, capsys):
+@pytest.mark.parametrize("mode, alpha, beta, n_max", [
+    pytest.param("exact", "3", "1", 40, id="3-1"),
+    pytest.param("exact", "-5", "7", 40, id="-5-7"),
+    pytest.param("exact", "2.0", "3.0", 40, id="2.0-3.0"),
+    pytest.param("float", "1.5", "0.25", 40, id="float-1.5-0.25"),
+    pytest.param("float", "-0.37", "1.3", 40, id="float--0.37-1.3"),
+    pytest.param("float", "7", "3", 40, id="float-7-3"),
+    # A_213 passes 2**512, so the n_max sequence is rescaled once.
+    pytest.param("float", "7", "3", 213, id="float-7-3-rescaled"),
+])
+def test_identity_exact_rows_match_per_size_library_calls(mode, alpha, beta, n_max, capsys):
     # The table reads every row from one n_max sequence; each cell must still
     # print as the per-size calls give it, type included (3.0 makes cof_sq a
-    # float while the residual stays an exact int).
-    assert cli.main(["identity", "--alpha", alpha, "--beta", beta, "--n-max", "40"]) == 0
+    # float while the exact residual stays an int).
+    argv = ["identity", "--alpha", alpha, "--beta", beta, "--n-max", str(n_max), "--mode", mode]
+    assert cli.main(argv) == 0
     rows = [line for line in capsys.readouterr().out.splitlines()
             if not line.startswith(("#", "n,"))]
-    assert len(rows) == 39
+    assert len(rows) == n_max - 1
     for n, row in enumerate(rows, start=2):
         m = SymToeplitzTridiag(cli._number(alpha), cli._number(beta), n)
-        seq = det_sequence(m, EXACT).values
-        expected = [n, corner_cofactor(m) ** 2, seq[n - 1] ** 2 - seq[n - 2] * seq[n],
-                    identity_residual(m, EXACT)]
+        ds = det_sequence(m, mode)
+        seq = [math.ldexp(x, ds.scale_exponent) for x in ds.values] if mode == FLOAT else ds.values
+        cof = corner_cofactor(m)
+        expected = [n, (float(cof) if mode == FLOAT else cof) ** 2,
+                    seq[n - 1] ** 2 - seq[n - 2] * seq[n], identity_residual(m, mode)]
         assert row == ",".join(map(repr, expected))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_identity_table_calls_det_sequence_once(mode, monkeypatch, capsys):
+    calls = []
+    real = tridiag_core.det_sequence
+    monkeypatch.setattr(tridiag_core, "det_sequence", lambda *a: calls.append(a) or real(*a))
+    assert cli.main(["identity", "--alpha", "7", "--beta", "3", "--n-max", "30",
+                     "--mode", mode]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "2", "--beta", "3.0", "--n-max", "400"],
+    ["--alpha", "2", "--beta", "3", "--n-max", "400", "--mode", "float"],
+])
+def test_identity_row_beyond_double_range_exits_1(argv, capsys):
+    # (3**324)**2 exceeds the largest double, so row 325 cannot print.
+    assert cli.main(["identity", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qwire: identity row n=325 leaves the double range\n"
 
 
 def test_identity_exact_rejects_fractional_input():

@@ -153,13 +153,6 @@ def test_compare_requires_sufficient_horizon():
         steady_state_compare(traj, p)
 
 
-def test_compare_rejects_bad_window():
-    p = WireParams(n=2, eps0=0.0, v=1.0, gamma=1.0)
-    traj = integrate(p, 0.0, IntegratorConfig(dt=0.05, t_max=12.0))
-    with pytest.raises(PreconditionError):
-        steady_state_compare(traj, p, window=13.0)
-
-
 # --- convergence order ------------------------------------------------------------
 
 def test_fourth_order_against_closed_form():

@@ -19,6 +19,7 @@ from qwire import (
     det_chebyshev,
     det_sequence,
     identity_residual,
+    identity_residuals,
 )
 
 from oracles import dense_det, dense_corner_cofactor, dense_sym_tridiag
@@ -96,6 +97,12 @@ def test_rescaling_keeps_sequence_representable():
     exact = det_sequence(m, EXACT).values[-1]
     recovered = Fraction(ds.values[-1]) * Fraction(2) ** ds.scale_exponent
     assert abs(recovered / Fraction(exact) - 1) < Fraction(1, 10 ** 12)
+
+
+def test_float_det_beyond_double_range_is_signed_infinity():
+    # A_n of alpha = 7, beta = 3 grows like 5.3**n, past the double range near n = 425.
+    assert det(SymToeplitzTridiag(7.0, 3.0, 1000)) == math.inf
+    assert det(SymToeplitzTridiag(-7.0, 3.0, 1001)) == -math.inf
 
 
 def test_dense_oracle_agreement():
@@ -216,6 +223,18 @@ def test_identity_beta_zero_degenerate():
 def test_identity_needs_n_at_least_two():
     with pytest.raises(DomainError):
         identity_residual(SymToeplitzTridiag(1, 1, 1), EXACT)
+    with pytest.raises(DomainError):
+        identity_residuals(SymToeplitzTridiag(1, 1, 1), FLOAT)
+
+
+@pytest.mark.parametrize("mode, alpha, beta", [
+    (EXACT, 3, -2), (EXACT, Fraction(7, 3), Fraction(-2, 5)),
+    (FLOAT, 1.5, 0.25), (FLOAT, -0.37, 1.3),
+])
+def test_identity_residuals_match_per_size_calls(mode, alpha, beta):
+    one_pass = identity_residuals(SymToeplitzTridiag(alpha, beta, 30), mode)
+    per_size = [identity_residual(SymToeplitzTridiag(alpha, beta, n), mode) for n in range(2, 31)]
+    assert list(map(repr, one_pass)) == list(map(repr, per_size))
 
 
 def test_exact_mode_rejects_non_integer():

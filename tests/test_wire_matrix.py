@@ -40,13 +40,6 @@ def test_v_lead_derived_from_wide_band_relation():
     assert TWO_PI * p.v_lead ** 2 / p.bandwidth == pytest.approx(p.gamma, rel=1e-12)
 
 
-def test_v_lead_consistency_enforced():
-    ok = math.sqrt(1.0 * 1.0 / TWO_PI)
-    WireParams(n=2, eps0=0.0, v=1.0, gamma=1.0, v_lead=ok)  # consistent value passes
-    with pytest.raises(ValueError):
-        WireParams(n=2, eps0=0.0, v=1.0, gamma=1.0, v_lead=2 * ok)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
