@@ -13,13 +13,18 @@ cofactor, and the residual of the nonlinear continuant identity
     beta**(2n-2) = A_{n-1}**2 - A_{n-2} * A_n,
 
 which ties the squared corner cofactor to three consecutive determinants.
+The residual is checked modulo the Mersenne prime 2**61 - 1 first and
+computed exactly only when that check is nonzero: a reported zero means
+"zero mod 2**61 - 1", a nonzero value is exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Union
 
 import numpy as np
@@ -36,6 +41,10 @@ Scalar = Union[int, float, Fraction]
 # residual stay at matched scale) whenever they exceed 2**_RESCALE_AT.
 _RESCALE_AT = 2.0 ** 512
 _RESCALE_SHIFT = 512
+
+# Modulus of the identity fingerprint: a residual that vanishes modulo this
+# prime is reported as zero without the exact big-integer pass.
+_FINGERPRINT_PRIME = 2 ** 61 - 1
 
 
 @dataclass(frozen=True)
@@ -120,18 +129,27 @@ def _as_exact(value: Scalar, name: str) -> Union[int, Fraction]:
     raise ModeError(f"{name}={value!r} is not usable in exact mode")
 
 
+def _as_float(value: Scalar, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModeError(f"{name} lies beyond the double range that float mode needs") from None
+
+
 def _check_mode(mode: str) -> str:
     if mode not in (EXACT, FLOAT):
         raise ModeError(f"unknown arithmetic mode {mode!r}")
     return mode
 
 
-def _exact_continuants(alpha, b2, n: int):
-    """Yield A_0, A_1, ..., A_n of the recurrence in exact arithmetic."""
+def _exact_continuants(alpha, b2, n: int, modulus: int | None = None):
+    """Yield A_0, A_1, ..., A_n of the recurrence in exact arithmetic, or mod ``modulus``."""
     prev2, prev = 0, 1
     yield prev
     for _ in range(n):
         prev2, prev = prev, alpha * prev - b2 * prev2
+        if modulus:
+            prev %= modulus
         yield prev
 
 
@@ -146,7 +164,8 @@ def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
     Raises
     ------
     ModeError
-        Exact mode with inputs that are not integers or Fractions.
+        Exact mode with inputs that are not integers or Fractions, or float
+        mode with an input beyond the double range.
     """
     _check_mode(mode)
     if mode == EXACT:
@@ -154,8 +173,9 @@ def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
         beta = _as_exact(m.beta, "beta")
         return DetSequence(values=tuple(_exact_continuants(alpha, beta * beta, m.n)))
 
-    alpha = float(m.alpha)
-    b2 = float(m.beta) * float(m.beta)
+    alpha = _as_float(m.alpha, "alpha")
+    beta = _as_float(m.beta, "beta")
+    b2 = beta * beta
     values = [1.0]
     prev2, prev = 0.0, 1.0
     exponent = 0
@@ -224,29 +244,73 @@ def _identity_inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
     return m.alpha, m.beta
 
 
-def _residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
+def _identity_gaps(alpha, b2, n_max: int, n_min: int, modulus: int | None = None):
+    """Yield (beta**(2n-2), beta**(2n-2) - (A_{n-1}**2 - A_{n-2} A_n)) for n = n_min, ..., n_max.
+
+    ``b2`` is beta**2.  With ``modulus`` both values are only congruent to the
+    exact ones (the continuants and the power are reduced, the difference is not).
+    """
+    continuants = _exact_continuants(alpha, b2, n_max, modulus)
+    deque(islice(continuants, n_min - 2), maxlen=0)  # skip A_0, ..., A_{n_min-3}
+    a_n2, a_n1 = next(continuants), next(continuants)
+    power = pow(b2, n_min - 2, modulus)
+    for a_n in continuants:
+        power *= b2
+        if modulus:
+            power %= modulus
+        yield power, power - (a_n1 * a_n1 - a_n2 * a_n)
+        a_n2, a_n1 = a_n1, a_n
+
+
+def _over_common_denominator(alpha, beta) -> tuple:
+    """Integers (alpha * den, beta * den) and den, for the least common denominator den."""
+    na, da = alpha.as_integer_ratio()
+    nb, db = beta.as_integer_ratio()
+    den = math.lcm(da, db)
+    return na * (den // da), nb * (den // db), den
+
+
+def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
     """Identity residuals at sizes n = n_min, ..., n_max >= 2 from one exact continuant pass."""
     if mode == FLOAT:
         # Scale both doubles to integers over a common power-of-two denominator;
         # the identity is homogeneous of degree 2n-2, so the scale cancels.
-        na, da = float(alpha).as_integer_ratio()
-        nb, db = float(beta).as_integer_ratio()
-        den = max(da, db)
-        alpha, beta = na * (den // da), nb * (den // db)
+        alpha, beta, _ = _over_common_denominator(alpha, beta)
     out = []
-    a_n2 = a_n1 = 0
-    for n, a_n in enumerate(_exact_continuants(alpha, beta * beta, n_max)):
-        if n >= n_min:
-            power = beta ** (2 * n - 2)
-            residual = power - (a_n1 ** 2 - a_n2 * a_n)
-            if mode == EXACT:
-                out.append(residual)
-            elif power == 0:
-                out.append(0.0 if residual == 0 else math.inf)
-            else:
-                out.append(residual / power)  # int true division rounds correctly
-        a_n2, a_n1 = a_n1, a_n
+    for power, residual in _identity_gaps(alpha, beta * beta, n_max, n_min):
+        if mode == EXACT:
+            out.append(residual)
+        elif power == 0:
+            out.append(0.0 if residual == 0 else math.inf)
+        else:
+            out.append(residual / power)  # int true division rounds correctly
     return out
+
+
+def _residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> tuple[list, bool]:
+    """Identity residuals at sizes n = n_min, ..., n_max >= 2, and whether the exact pass ran.
+
+    The residuals of the scaled integers are first checked modulo
+    ``_FINGERPRINT_PRIME``.  When all vanish there, the zeros the exact pass
+    gives for a correct recurrence are returned (0.0 in float mode, 0 or
+    Fraction(0) in exact mode); otherwise ``_exact_residuals`` computes the
+    true values.  A common denominator divisible by the prime leaves the
+    check vacuous, so it goes straight to the exact pass.
+    """
+    if mode == FLOAT:
+        alpha, beta = _as_float(alpha, "alpha"), _as_float(beta, "beta")
+        zero = 0.0
+    elif isinstance(alpha, Fraction) or isinstance(beta, Fraction):
+        zero = Fraction(0)
+    else:
+        zero = 0
+    a, b, den = _over_common_denominator(alpha, beta)
+    p = _FINGERPRINT_PRIME
+    if den % p and not any(
+        residual % p for _, residual in _identity_gaps(a % p, b * b % p, n_max, n_min, p)
+    ):
+        return [zero] * (n_max - n_min + 1), False
+    return _exact_residuals(alpha, beta, mode, n_max, n_min), True
 
 
 def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
@@ -259,17 +323,26 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
     cancellation a naive double-precision evaluation would suffer when the
     sequence entries dwarf beta**(2n-2).
 
+    The residual is first evaluated modulo the prime 2**61 - 1.  A zero
+    result means the residual is zero mod 2**61 - 1 (and is returned as 0,
+    Fraction(0) or 0.0); only a nonzero one triggers the exact big-integer
+    pass, whose value is then returned.
+
     Raises
     ------
     DomainError
         n < 2 (A_{n-2} undefined below the A_0 convention).
+    ModeError
+        Exact mode with inputs that are not integers or Fractions, or float
+        mode with an input beyond the double range.
     """
-    return _residuals(*_identity_inputs(m, mode), mode, m.n, m.n)[0]
+    return _residuals(*_identity_inputs(m, mode), mode, m.n, m.n)[0][0]
 
 
 def identity_residuals(m: SymToeplitzTridiag, mode: str = FLOAT) -> list:
     """``identity_residual`` of the leading blocks of sizes n = 2, ..., m.n, in one pass.
 
-    Raises DomainError when m.n < 2.
+    Zero mod 2**61 - 1 at every size gives zeros; otherwise every value is
+    exact.  Raises DomainError when m.n < 2, ModeError as ``identity_residual``.
     """
-    return _residuals(*_identity_inputs(m, mode), mode, m.n, 2)
+    return _residuals(*_identity_inputs(m, mode), mode, m.n, 2)[0]

@@ -51,6 +51,19 @@ def dense_transmittance(p, eps):
     return p.gamma ** 2 * abs(inv[0, p.n - 1]) ** 2
 
 
+def _amplitude_generator(p, onsite):
+    """A = -iH - Gamma/2 with ``onsite`` on the diagonal of -iH (see ``slowest_decay_rate``)."""
+    a = np.zeros((p.n, p.n), dtype=complex)
+    for i in range(p.n):
+        a[i, i] = onsite
+        if i + 1 < p.n:
+            a[i, i + 1] = -1j * p.v
+            a[i + 1, i] = -1j * p.v
+    a[0, 0] -= 0.5 * p.gamma
+    a[-1, -1] -= 0.5 * p.gamma
+    return a
+
+
 def slowest_decay_rate(p):
     """min(-Re lambda) over the eigenvalues of A = -iH - Gamma/2.
 
@@ -60,15 +73,29 @@ def slowest_decay_rate(p):
     Every transient decays at least as fast as e^{-rate t}, and the slowest
     mode decays exactly that fast.
     """
-    a = np.zeros((p.n, p.n), dtype=complex)
-    for i in range(p.n):
-        a[i, i] = -1j * p.eps0
-        if i + 1 < p.n:
-            a[i, i + 1] = -1j * p.v
-            a[i + 1, i] = -1j * p.v
-    a[0, 0] -= 0.5 * p.gamma
-    a[-1, -1] -= 0.5 * p.gamma
+    a = _amplitude_generator(p, -1j * p.eps0)
     return float(np.min(-np.linalg.eigvals(a).real))
+
+
+def driven_evolution_exact(p, drive_energy, t):
+    """Exact amplitudes U(t) = W e^{i w t} - e^{A t} W for any n, U(0) = 0.
+
+    The system is dU/dt = A U + b e^{i w t} in the frame the integrator uses
+    (no on-site term): A = -i H_chain - Gamma/2, b = -i v_lead e_1 and
+    w = eps0 - drive_energy.  W = (i w - A)^{-1} b is the steady state, and
+    e^{A t} W comes from the eigendecomposition A = V diag(lam) V^{-1}.
+    Returns (W, U) with U[k] the amplitudes at time t[k].
+    """
+    t = np.asarray(t, dtype=float)
+    a = _amplitude_generator(p, 0.0)
+    omega = p.eps0 - drive_energy
+    b = np.zeros(p.n, dtype=complex)
+    b[0] = -1j * p.v_lead
+    w = np.linalg.solve(1j * omega * np.eye(p.n) - a, b)
+    lam, vecs = np.linalg.eig(a)
+    coeff = np.linalg.solve(vecs, w)
+    transient = (np.exp(np.outer(t, lam)) * coeff) @ vecs.T
+    return w, w[None, :] * np.exp(1j * omega * t)[:, None] - transient
 
 
 def scalar_evolution_exact(v_lead, gamma, omega, t):

@@ -166,6 +166,18 @@ def test_identity_row_beyond_double_range_exits_1(argv, capsys):
     assert captured.err == "qwire: identity row n=325 leaves the double range\n"
 
 
+HUGE = "1" + "0" * 400  # 1e400, beyond the largest double
+
+
+@pytest.mark.parametrize("name, alpha, beta", [("alpha", HUGE, "1"), ("beta", "1", HUGE)])
+def test_identity_float_mode_rejects_input_beyond_double_range(name, alpha, beta, capsys):
+    argv = ["identity", "--alpha", alpha, "--beta", beta, "--n-max", "3", "--mode", "float"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qwire: {name} lies beyond the double range that float mode needs\n"
+
+
 def test_identity_exact_rejects_fractional_input():
     code, out, err = run_text("identity", "--alpha", "0.5", "--beta", "1", "--n-max", "3")
     assert code == 2

@@ -18,7 +18,7 @@ from qwire import (
     steady_state_compare,
 )
 
-from oracles import scalar_evolution_exact
+from oracles import driven_evolution_exact, scalar_evolution_exact
 
 
 # --- configuration and validation -------------------------------------------
@@ -198,6 +198,42 @@ def test_relaxation_envelope_rate():
         mask = (traj.times >= 2.0) & (traj.times <= 20.0) & (dev > 1e-14)
         rate = -np.polyfit(traj.times[mask], np.log(dev[mask]), 1)[0]
         assert rate >= expected_floor * p.gamma
+
+
+def test_exact_propagator_reduces_to_single_site_closed_form():
+    p = WireParams(n=1, eps0=0.2, v=1.0, gamma=1.0)
+    t = np.linspace(0.0, 12.0, 61)
+    _, u = driven_evolution_exact(p, -0.7, t)
+    assert np.max(np.abs(u[:, 0] - scalar_evolution_exact(p.v_lead, p.gamma, 0.9, t))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_multi_site_trajectory_matches_exact_propagator(n):
+    # Against U(t) = W e^{iwt} - e^{At} W: the error stays within the RK4
+    # leading-term bound t_max * (h lam)**4 * lam / 120 * |W|, with lam the
+    # larger of ||A|| and |w|, and halving the step cuts it about 16-fold.
+    rng = np.random.default_rng([41, n])
+    t_max = 6.0
+    for _ in range(2):
+        p = WireParams(
+            n=n,
+            eps0=float(rng.uniform(-1.0, 1.0)),
+            v=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)),
+            gamma=float(rng.uniform(0.3, 2.0)),
+        )
+        drive = p.eps0 + float(rng.uniform(-2.0, 2.0))
+        omega = p.eps0 - drive
+        scale = max(abs(omega), p.gamma, abs(p.v))
+        lam = max(abs(p.v) * 2.0 + p.gamma, abs(omega))  # >= ||A||_2
+        errors = []
+        for dt in (0.05 / scale, 0.025 / scale):
+            traj = integrate(p, drive, IntegratorConfig(dt=dt, t_max=t_max))
+            w, exact = driven_evolution_exact(p, drive, traj.times)
+            h = traj.times[1]
+            err = float(np.max(np.abs(traj.u - exact)))
+            assert err <= t_max * (h * lam) ** 4 * lam / 120.0 * np.linalg.norm(w)
+            errors.append(err)
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
 # --- stability guard ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwire.transport as transport
+import qwire.tridiag_core as tridiag_core
 from qwire import (
     BiasWindow,
     NumericalError,
@@ -279,6 +280,41 @@ def test_shared_hat_dets_bit_identical_to_public_routes():
         assert list(map(_bits, rep.abs_diff)) == list(map(_bits, diff))
         assert list(map(_bits, rep.hat_gap)) == list(map(_bits, gap))
         assert list(map(_bits, rep.bridge_residual_rel)) == list(map(_bits, bridge))
+
+
+def test_bridge_never_takes_exact_pass_for_correct_recurrence(monkeypatch):
+    calls = []
+    real = tridiag_core._exact_residuals
+    monkeypatch.setattr(tridiag_core, "_exact_residuals",
+                        lambda *a: calls.append(a) or real(*a))
+    p = WireParams(n=2000, eps0=0.1, v=1.0, gamma=0.5)
+    rep = equivalence_report(p, np.linspace(-1.8, 1.9, 24))
+    assert calls == []
+    assert rep.bridge_exact_fallbacks == 0
+    assert rep.max_bridge_residual_rel == 0.0
+
+
+def test_broken_recurrence_makes_bridge_report_exact_residual(monkeypatch):
+    def off_by_one(alpha, b2, n, modulus=None):
+        prev2, prev = 0, 1
+        yield prev
+        for _ in range(n):
+            prev2, prev = prev, alpha * prev - b2 * prev2 + 1
+            if modulus:
+                prev %= modulus
+            yield prev
+
+    monkeypatch.setattr(tridiag_core, "_exact_continuants", off_by_one)
+    p = WireParams(n=30, eps0=0.1, v=0.8, gamma=0.5)
+    grid = np.linspace(-1.2, 1.3, 9)
+    rep = equivalence_report(p, grid)
+    exact = [
+        abs(tridiag_core._exact_residuals(p.eps0 - e, -p.v, tridiag_core.FLOAT, p.n, p.n)[0])
+        for e in grid
+    ]
+    assert list(map(_bits, rep.bridge_residual_rel)) == list(map(_bits, exact))
+    assert np.all(rep.bridge_residual_rel > 0.0)
+    assert rep.bridge_exact_fallbacks == grid.size
 
 
 def test_hat_dets_evaluated_once_per_call(monkeypatch):

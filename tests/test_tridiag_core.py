@@ -20,6 +20,7 @@ from qwire import (
     det_sequence,
     identity_residual,
     identity_residuals,
+    tridiag_core,
 )
 
 from oracles import dense_det, dense_corner_cofactor, dense_sym_tridiag
@@ -235,6 +236,98 @@ def test_identity_residuals_match_per_size_calls(mode, alpha, beta):
     one_pass = identity_residuals(SymToeplitzTridiag(alpha, beta, 30), mode)
     per_size = [identity_residual(SymToeplitzTridiag(alpha, beta, n), mode) for n in range(2, 31)]
     assert list(map(repr, one_pass)) == list(map(repr, per_size))
+
+
+# --- fingerprint against the exact pass ------------------------------------
+
+P61 = 2 ** 61 - 1
+
+
+def _exact_reference(m, mode, n_min):
+    """The exact pass alone, on the inputs identity_residual(s) would give it."""
+    alpha, beta = tridiag_core._identity_inputs(m, mode)
+    if mode == FLOAT:
+        alpha, beta = float(alpha), float(beta)
+    return tridiag_core._exact_residuals(alpha, beta, mode, m.n, n_min)
+
+
+exact_scalars = st.one_of(
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.fractions(max_denominator=10 ** 12),
+    st.sampled_from([0, Fraction(0), P61, -P61, 3 * P61, Fraction(P61, 7),
+                     Fraction(1, P61), Fraction(5, 2 * P61)]),
+)
+float_scalars = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1.7e308, 2.0 ** 61, float(P61)]),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    mode=st.sampled_from([EXACT, FLOAT]),
+    n=st.integers(min_value=2, max_value=40),
+)
+def test_fingerprint_matches_exact_pass(data, mode, n):
+    scalars = exact_scalars if mode == EXACT else float_scalars
+    m = SymToeplitzTridiag(data.draw(scalars), data.draw(scalars), n)
+    assert repr(identity_residual(m, mode)) == repr(_exact_reference(m, mode, n)[0])
+    one_pass = identity_residuals(m, mode)
+    assert list(map(repr, one_pass)) == list(map(repr, _exact_reference(m, mode, 2)))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (5, P61), (P61, P61), (Fraction(3, 4), Fraction(2 * P61, 3)), (7, 0), (Fraction(1, P61), 2),
+])
+def test_fingerprint_edge_inputs_match_exact_pass(alpha, beta):
+    m = SymToeplitzTridiag(alpha, beta, 25)
+    one_pass = identity_residuals(m, EXACT)
+    assert list(map(repr, one_pass)) == list(map(repr, _exact_reference(m, EXACT, 2)))
+
+
+def _sign_flipped_continuants(alpha, b2, n, modulus=None):
+    """The continuant loop with a mutation that keeps it homogeneous: + b2 for - b2.
+
+    The identity then reads A_{n-1}**2 - A_{n-2} A_n = (-1)**(n-1) beta**(2n-2),
+    so the residual is nonzero at every even n.
+    """
+    prev2, prev = 0, 1
+    yield prev
+    for _ in range(n):
+        prev2, prev = prev, alpha * prev + b2 * prev2
+        if modulus:
+            prev %= modulus
+        yield prev
+
+
+@pytest.mark.parametrize("mode, alpha, beta", [
+    (EXACT, 3, -2), (EXACT, Fraction(7, 3), Fraction(-2, 5)), (FLOAT, -0.37, 1.3),
+    # A denominator divisible by p makes the scaled fingerprint vacuous.
+    (EXACT, Fraction(1, P61), Fraction(3, 2)),
+])
+def test_broken_recurrence_reaches_the_exact_pass(mode, alpha, beta, monkeypatch):
+    monkeypatch.setattr(tridiag_core, "_exact_continuants", _sign_flipped_continuants)
+    m = SymToeplitzTridiag(alpha, beta, 20)
+    got = identity_residuals(m, mode)
+    assert list(map(repr, got)) == list(map(repr, _exact_reference(m, mode, 2)))
+    assert all(r != 0 for r in got[::2])  # n = 2, 4, ..., 20
+    assert repr(identity_residual(m, mode)) == repr(got[-1])
+
+
+def test_float_mode_rejects_input_beyond_double_range():
+    for alpha, beta in ((10 ** 400, 1), (1, -(10 ** 400)), (Fraction(10 ** 400, 3), 1)):
+        m = SymToeplitzTridiag(alpha, beta, 3)
+        name = "alpha" if alpha != 1 else "beta"
+        with pytest.raises(ModeError, match=name):
+            det_sequence(m, FLOAT)
+        with pytest.raises(ModeError, match=name):
+            identity_residual(m, FLOAT)
+        with pytest.raises(ModeError, match=name):
+            identity_residuals(m, FLOAT)
+    # exact mode has no range limit
+    assert identity_residual(SymToeplitzTridiag(10 ** 400, 1, 3), EXACT) == 0
 
 
 def test_exact_mode_rejects_non_integer():
