@@ -214,7 +214,12 @@ def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
         non-finite (the recurrence overflowed far outside the band), or
         ``|det C|**2`` underflows to 0 at a scalar energy.
     """
-    return _eo(p, hat_dets(p, eps))[0]
+    if np.ndim(eps) == 0:  # Python floats never warn
+        return _eo(p, hat_dets(p, eps))[0]
+    # Overflowed continuants make inf and nan, which the recombination check
+    # turns into NumericalError; numpy's warnings would only precede it.
+    with np.errstate(all="ignore"):
+        return _eo(p, hat_dets(p, eps))[0]
 
 
 def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport:
@@ -228,9 +233,10 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
     grid = np.atleast_1d(np.asarray(energies, dtype=float))
     if grid.size == 0:
         raise PreconditionError("energy grid must be non-empty")
-    h = hat_dets(p, grid)
-    t_gf = _gf(p, h)
-    t_eo, gap = _eo(p, h)
+    with np.errstate(all="ignore"):  # non-finite values raise in _eo
+        h = hat_dets(p, grid)
+        t_gf = _gf(p, h)
+        t_eo, gap = _eo(p, h)
     diff = np.abs(t_gf - t_eo)
     if p.n > 1:
         passes = [_residuals(p.eps0 - e, -p.v, FLOAT, p.n, p.n) for e in grid]
@@ -271,9 +277,11 @@ def spectrum(
     if method not in ("gf", "eo", "both"):
         raise ValueError(f"method must be gf, eo or both, got {method!r}")
     grid = np.linspace(e_min, e_max, points)
-    h = hat_dets(p, grid)
-    t_gf = _gf(p, h) if method in ("gf", "both") else None
-    t_eo = _eo(p, h)[0] if method in ("eo", "both") else None
+    # Non-finite values raise in _eo or in TransmissionSpectrum.
+    with np.errstate(all="ignore"):
+        h = hat_dets(p, grid)
+        t_gf = _gf(p, h) if method in ("gf", "both") else None
+        t_eo = _eo(p, h)[0] if method in ("eo", "both") else None
     return TransmissionSpectrum(
         energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo
     )

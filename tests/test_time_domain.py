@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qwire.time_domain as time_domain
 from qwire import (
     BlowUpError,
     ConfigError,
@@ -207,11 +210,14 @@ def test_exact_propagator_reduces_to_single_site_closed_form():
     assert np.max(np.abs(u[:, 0] - scalar_evolution_exact(p.v_lead, p.gamma, 0.9, t))) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, 6, time_domain._SCALAR_MAX_N, time_domain._SCALAR_MAX_N + 8]
+)
 def test_multi_site_trajectory_matches_exact_propagator(n):
     # Against U(t) = W e^{iwt} - e^{At} W: the error stays within the RK4
     # leading-term bound t_max * (h lam)**4 * lam / 120 * |W|, with lam the
     # larger of ||A|| and |w|, and halving the step cuts it about 16-fold.
+    # The last site count runs the numpy loop, the others the scalar loop.
     rng = np.random.default_rng([41, n])
     t_max = 6.0
     for _ in range(2):
@@ -251,3 +257,73 @@ def test_moderate_case_stays_within_bound():
     traj = integrate(p, 0.0, IntegratorConfig(dt=0.05, t_max=60.0))
     bound = p.n * p.v_lead / (0.5 * p.gamma)
     assert np.max(np.abs(traj.u)) <= bound
+
+
+# --- the two loop bodies ------------------------------------------------------------
+
+def _outcome(max_scalar_n, p, drive, cfg):
+    """Trajectory bytes, or the error, of ``integrate`` under a given crossover."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(time_domain, "_SCALAR_MAX_N", max_scalar_n)
+        try:
+            traj = integrate(p, drive, cfg)
+        except BlowUpError as err:
+            return str(err)
+    return traj.times.dtype, traj.u.dtype, traj.times.tobytes(), traj.u.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, time_domain._SCALAR_MAX_N + 8),
+    eps0=st.floats(-2.0, 2.0),
+    v=st.floats(0.05, 3.0).flatmap(lambda m: st.sampled_from([m, -m])),
+    gamma=st.floats(0.05, 4.0),
+    bandwidth=st.floats(0.1, 10.0),
+    detuning=st.floats(-4.0, 4.0),
+    resolution=st.floats(0.01, 1.0),
+    steps=st.floats(0.5, 40.0),
+)
+@example(n=3, eps0=0.0, v=0.1, gamma=4.0, bandwidth=1.0, detuning=0.0,
+         resolution=1.0, steps=16000.0)  # the blow-up guard's wire
+def test_scalar_and_numpy_loops_are_bit_identical(
+    n, eps0, v, gamma, bandwidth, detuning, resolution, steps
+):
+    p = WireParams(n=n, eps0=eps0, v=v, gamma=gamma, bandwidth=bandwidth)
+    drive = eps0 + detuning
+    dt = resolution * 0.1 / max(abs(detuning), gamma, abs(v))
+    cfg = IntegratorConfig(dt=dt, t_max=steps * dt)
+    scalar = _outcome(n, p, drive, cfg)  # n sites on the scalar loop
+    assert scalar == _outcome(n - 1, p, drive, cfg)  # and on the numpy loop
+
+
+def test_loop_choice_follows_site_count(monkeypatch):
+    used = []
+    for name in ("_scalar_steps", "_array_steps"):
+        real = getattr(time_domain, name)
+
+        def spy(*args, name=name, real=real):
+            used.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(time_domain, name, spy)
+    cfg = IntegratorConfig(dt=0.05, t_max=0.1)
+    for n in (1, time_domain._SCALAR_MAX_N, time_domain._SCALAR_MAX_N + 1):
+        integrate(WireParams(n=n, eps0=0.0, v=1.0, gamma=1.0), 0.0, cfg)
+    assert used == ["_scalar_steps", "_scalar_steps", "_array_steps"]
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(1.5e308, 1.5e308)]
+)
+def test_scalar_check_catches_any_site(monkeypatch, bad):
+    # max() skips a nan that is not first, and abs() raises OverflowError
+    # for a finite value whose modulus overflows: neither may slip through.
+    real = time_domain._max_modulus
+
+    def poisoned(y):
+        return real([*y[:2], bad, *y[3:]])
+
+    monkeypatch.setattr(time_domain, "_max_modulus", poisoned)
+    p = WireParams(n=4, eps0=0.0, v=1.0, gamma=1.0)
+    with pytest.raises(BlowUpError, match="non-finite state at t=0.05$"):
+        integrate(p, 0.0, IntegratorConfig(dt=0.05, t_max=1.0))

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -159,9 +160,27 @@ def test_eo_recombination_from_terms():
 def test_eo_check_raises_outside_double_range():
     # n = 1000 at eps = 2.5 (band [-2, 2]): the continuants overflow to nan.
     p = WireParams(n=1000, eps0=0.0, v=1.0, gamma=0.5)
-    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+    with pytest.raises(NumericalError):
         transmittance_eo(p, np.array([2.5, 2.75]))
     assert issubclass(NumericalError, RuntimeError)
+
+
+@pytest.mark.parametrize("n", [700, 1650])
+def test_overflowing_wire_raises_without_numpy_warnings(n):
+    # n = 700 overflows in the products of transport, n = 1650 already in
+    # the hat_dets recurrence; either way NumericalError must come first.
+    p = WireParams(n=n, eps0=0.0, v=1.0, gamma=0.5)
+    grid = np.linspace(-2.5, 2.5, 24)
+    calls = [
+        lambda: equivalence_report(p, grid),
+        lambda: spectrum(p, -2.5, 2.5, 24, "both"),
+        lambda: transmittance_eo(p, grid),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                call()
 
 
 def test_eo_check_runs_under_optimize():
