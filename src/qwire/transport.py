@@ -214,11 +214,7 @@ def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
         non-finite (the recurrence overflowed far outside the band), or
         ``|det C|**2`` underflows to 0 at a scalar energy.
     """
-    if np.ndim(eps) == 0:  # Python floats never warn
-        return _eo(p, hat_dets(p, eps))[0]
-    # Overflowed continuants make inf and nan, which the recombination check
-    # turns into NumericalError; numpy's warnings would only precede it.
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # non-finite values raise in _eo
         return _eo(p, hat_dets(p, eps))[0]
 
 
