@@ -26,7 +26,14 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .tridiag_core import FLOAT, _residuals
-from .wire_matrix import EnergyLike, HatDets, WireParams, corner_cofactor_wire, hat_dets
+from .wire_matrix import (
+    EnergyLike,
+    HatDets,
+    WireParams,
+    _continuants,
+    corner_cofactor_wire,
+    hat_dets,
+)
 
 _RECOMBINE_RTOL = 1e-9
 _RECOMBINE_ATOL = 1e-12
@@ -136,8 +143,8 @@ class EquivalenceReport:
     bridge_exact_fallbacks: int
 
 
-def _abs_det_sq(p: WireParams, h: HatDets) -> EnergyLike:
-    re, im = h.corner_split(p.gamma)
+def _det_sq(re: EnergyLike, im: EnergyLike) -> EnergyLike:
+    """``|det C|**2`` from the corner split ``det C = re + i*im``."""
     det_sq = re * re + im * im
     # Only a scalar quotient by 0.0 raises (ZeroDivisionError); arrays give nan or inf.
     if isinstance(det_sq, float) and det_sq == 0.0:
@@ -145,9 +152,19 @@ def _abs_det_sq(p: WireParams, h: HatDets) -> EnergyLike:
     return det_sq
 
 
-def _gf(p: WireParams, h: HatDets) -> EnergyLike:
+def _gf_numerator(p: WireParams) -> float:
+    """gamma**2 * cof**2, the energy-independent numerator of the GF route."""
     cof = corner_cofactor_wire(p)
-    return p.gamma ** 2 * cof * cof / _abs_det_sq(p, h)
+    return p.gamma ** 2 * cof * cof
+
+
+def _gf_quotient(num: float, re: EnergyLike, im: EnergyLike) -> EnergyLike:
+    """GF transmittance ``num / |det C|**2`` with ``num = _gf_numerator(p)``."""
+    return num / _det_sq(re, im)
+
+
+def _gf(p: WireParams, h: HatDets) -> EnergyLike:
+    return _gf_quotient(_gf_numerator(p), *h.corner_split(p.gamma))
 
 
 def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
@@ -167,7 +184,7 @@ def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
 def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
     """The three averaged evolution-operator terms at probe energy ``eps``."""
     h = hat_dets(p, eps)
-    return _eo_terms(p, h, _abs_det_sq(p, h))
+    return _eo_terms(p, h, _det_sq(*h.corner_split(p.gamma)))
 
 
 def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
@@ -186,7 +203,7 @@ def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
 
 def _eo(p: WireParams, h: HatDets) -> tuple[EnergyLike, EnergyLike]:
     """EO transmittance and the hat gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n."""
-    det_sq = _abs_det_sq(p, h)
+    det_sq = _det_sq(*h.corner_split(p.gamma))
     cof = corner_cofactor_wire(p)
     gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
     t = 0.5 * p.gamma ** 2 * (cof * cof + gap) / det_sq
@@ -302,26 +319,42 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     are passed to the quadrature as break points so narrow peaks are not
     missed; when there are at least 200 of them (the subinterval limit), the
     limit is raised by their count.  Zero bias returns exactly 0.
+
+    T(eps) is the GF transmittance, built once per call: the numerator
+    ``gamma**2 * cof**2`` and the corner constants are computed up front and
+    each quadrature evaluation runs only the continuant kernel and the GF
+    quotient.  The values are bit-identical to ``transmittance_gf(p, eps)``.
+
+    Raises
+    ------
+    NumericalError
+        The corner cofactor ``v**(n-1)`` leaves the double range, or
+        ``|det C|**2`` underflows to 0 inside the window.
     """
     if bias.mu_left == bias.mu_right:
         return CurrentResult(value=0.0, error_estimate=0.0, window=(bias.mu_left, bias.mu_right))
     lo = min(bias.mu_left, bias.mu_right)
     hi = max(bias.mu_left, bias.mu_right)
     sign = 1.0 if bias.mu_left > bias.mu_right else -1.0
+    num = _gf_numerator(p)
+    eps0, b2, n, g = p.eps0, p.v * p.v, p.n, p.gamma
+    q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
+
+    def t_gf(e: float) -> float:
+        c_n, c_n1, c_n2 = _continuants(eps0 - e, b2, n, 0.0, 1.0)
+        return _gf_quotient(num, c_n - q * c_n2, g * c_n1)
+
     if bias.temperature > 0.0:
         pad = 40.0 * bias.temperature
         lo -= pad
         hi += pad
+        mu_left, mu_right, temperature = bias.mu_left, bias.mu_right, bias.temperature
 
         def integrand(e: float) -> float:
-            occ = _fermi(e, bias.mu_left, bias.temperature) - _fermi(
-                e, bias.mu_right, bias.temperature
-            )
-            return occ * transmittance_gf(p, e)
+            occ = _fermi(e, mu_left, temperature) - _fermi(e, mu_right, temperature)
+            return occ * t_gf(e)
     else:
-
-        def integrand(e: float) -> float:
-            return transmittance_gf(p, e)
+        integrand = t_gf
 
     breaks = [e for e in chain_resonances(p) if lo < e < hi]
     # QUADPACK needs more subintervals than break points; only then is the

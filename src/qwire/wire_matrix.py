@@ -19,7 +19,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import NumericalError, SingularMatrixError
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,11 +135,12 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     ``-v`` (the sign of the off-diagonal is irrelevant: only its square
     enters the recurrence).  Accepts a scalar or an array of energies.
 
-    A scalar (0-d) energy runs the recurrence on Python floats, which avoids
-    numpy's per-operation dispatch when one energy is evaluated at a time
-    (as under adaptive quadrature).  Both kinds of input run the same
-    multiplies and subtracts in the same order, so a scalar result is
-    bit-identical to the corresponding element of an array result.
+    Both kinds of input run one kernel, ``_continuants``, which takes two
+    recurrence steps per loop pass.  A scalar (0-d) energy runs it on Python
+    floats, which avoids numpy's per-operation dispatch when one energy is
+    evaluated at a time (as under adaptive quadrature).  Every step does the
+    same multiply, multiply and subtract in the same order, so a scalar
+    result is bit-identical to the corresponding element of an array result.
     """
     if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
         eps = float(eps)
@@ -151,15 +152,24 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
         zero, one = np.zeros_like(eps), np.ones_like(eps)
     if not finite:
         raise ValueError("probe energy must be finite")
-    alpha = p.eps0 - eps
-    b2 = p.v * p.v
-    older = zero   # becomes Chat_{n-2}
-    prev2 = zero   # Chat_{-1}
-    prev = one     # Chat_0
-    for _ in range(p.n):
-        older = prev2
-        prev2, prev = prev, alpha * prev - b2 * prev2
-    return HatDets(prev, prev2, older)
+    return HatDets(*_continuants(p.eps0 - eps, p.v * p.v, p.n, zero, one))
+
+
+def _continuants(alpha, b2, n, zero, one):
+    """(Chat_n, Chat_{n-1}, Chat_{n-2}) of ``Chat_k = alpha*Chat_{k-1} - b2*Chat_{k-2}``.
+
+    Starts from Chat_{-1} = ``zero`` and Chat_0 = ``one``; n >= 1.  The loop
+    takes two steps per pass up to (Chat_{n-2}, Chat_{n-1}), one odd step
+    follows when n is even, and a last step gives Chat_n.  Every step is
+    ``alpha*x - b2*y`` in that order, for floats and arrays alike.
+    """
+    a, b = zero, one
+    for _ in range((n - 1) >> 1):
+        a = alpha * b - b2 * a
+        b = alpha * a - b2 * b
+    if not n & 1:
+        a, b = b, alpha * b - b2 * a
+    return alpha * b - b2 * a, b, a
 
 
 def det_wire(p: WireParams, eps: EnergyLike) -> Union[complex, np.ndarray]:
@@ -178,8 +188,18 @@ def corner_cofactor_wire(p: WireParams) -> float:
     The defining minor is triangular with ``-v`` on its diagonal and the
     sign prefactor (-1)**(n+1) cancels the off-diagonal signs exactly.
     Returns 1.0 for n = 1 (empty minor).
+
+    Raises
+    ------
+    NumericalError
+        ``|v|**(n-1)`` exceeds the double range.
     """
-    return float(p.v) ** (p.n - 1)
+    try:
+        return float(p.v) ** (p.n - 1)
+    except OverflowError:
+        raise NumericalError(
+            f"corner cofactor v**(n-1) = {p.v}**{p.n - 1} leaves the double range"
+        ) from None
 
 
 def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:

@@ -323,6 +323,21 @@ def test_current_underflow_exits_1_without_traceback():
     assert err.count("qwire: ") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--from", "-1", "--to", "1", "--points", "3"],
+    ["current", "--mu-l", "0.1", "--mu-r", "-0.1"],
+])
+def test_cofactor_overflow_exits_1_without_traceback(command):
+    # 2000 sites with v = 1.5: the corner cofactor v**(n-1) exceeds the double range.
+    code, out, err = run_text(
+        command[0], "-N", "2000", "--eps0", "0", "--v", "1.5", "--gamma", "0.5", *command[1:],
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("qwire: ") == 1 and "v**(n-1)" in err and err.endswith("\n")
+
+
 # --- evolve subcommand ---------------------------------------------------------------
 
 def test_evolve_columns_and_summary():

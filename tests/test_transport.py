@@ -183,6 +183,24 @@ def test_overflowing_wire_raises_without_numpy_warnings(n):
                 call()
 
 
+def test_cofactor_overflow_raises_numerical_error():
+    # 2000 sites with v = 1.5: v**(n-1) exceeds the double range, which a
+    # float power reports as OverflowError; every route must name the cofactor.
+    p = WireParams(n=2000, eps0=0.0, v=1.5, gamma=0.5)
+    calls = [
+        lambda: transmittance_gf(p, 0.1),
+        lambda: transmittance_eo(p, 0.1),
+        lambda: eo_terms(p, 0.1),
+        lambda: spectrum(p, -1.0, 1.0, 3, "both"),
+        lambda: equivalence_report(p, np.linspace(-1.0, 1.0, 3)),
+        lambda: landauer_current(p, BiasWindow(0.1, -0.1)),
+        lambda: landauer_current(p, BiasWindow(0.1, -0.1, temperature=0.01)),
+    ]
+    for call in calls:
+        with pytest.raises(NumericalError, match=r"v\*\*\(n-1\)"):
+            call()
+
+
 def test_eo_check_runs_under_optimize():
     # Under -O an assert would be stripped; the recombination check must
     # still catch a term that no longer matches the closed form.
@@ -535,6 +553,78 @@ def test_current_more_resonances_than_subinterval_limit(monkeypatch):
     assert math.isfinite(res.error_estimate)
     assert abs(res.value - oracle) <= res.error_estimate
     assert res.value == pytest.approx(oracle, rel=1e-4)
+
+
+def _plain_fermi(e, mu, temperature):
+    return 0.5 - 0.5 * math.tanh(0.5 * (e - mu) / temperature)
+
+
+def _plain_gf(p, e):
+    """GF transmittance from a one-step continuant loop, no library code."""
+    alpha, b2, g = p.eps0 - e, p.v * p.v, p.gamma
+    older, prev2, prev = 0.0, 0.0, 1.0
+    for _ in range(p.n):
+        older, prev2, prev = prev2, prev, alpha * prev - b2 * prev2
+    re = prev - 0.25 * g * g * older
+    im = g * prev2
+    cof = float(p.v) ** (p.n - 1)
+    return g ** 2 * cof * cof / (re * re + im * im)
+
+
+def _plain_current(p, bias):
+    """landauer_current's quad call with the plain integrand above."""
+    from scipy.integrate import quad
+
+    lo, hi = sorted((bias.mu_left, bias.mu_right))
+    t = bias.temperature
+    if t > 0.0:
+        lo, hi = lo - 40.0 * t, hi + 40.0 * t
+
+        def integrand(e):
+            occ = _plain_fermi(e, bias.mu_left, t) - _plain_fermi(e, bias.mu_right, t)
+            return occ * _plain_gf(p, e)
+    else:
+
+        def integrand(e):
+            return _plain_gf(p, e)
+
+    breaks = sorted(e for e in chain_resonances(p) if lo < e < hi)
+    limit = transport._QUAD_LIMIT
+    if len(breaks) >= limit:
+        limit += len(breaks)
+    value, abserr = quad(integrand, lo, hi, points=breaks or None, limit=limit,
+                         epsabs=transport._QUAD_EPSABS, epsrel=transport._QUAD_EPSREL)
+    if t == 0.0 and bias.mu_left < bias.mu_right:
+        value = -value
+    return value, abserr
+
+
+# Except at n = 1, g**2 * (cof * cof) rounds differently from (g**2 * cof) * cof
+# on these wires, so the test also pins the numerator's operation order.
+@pytest.mark.parametrize("n, v, gamma", [
+    (1, 1.0, 0.5), (2, -0.7, 0.3), (7, 0.7, 0.7), (40, -0.7, 1.3), (226, 0.7, 0.2),
+])
+@pytest.mark.parametrize("temperature", [0.0, 0.03])
+@pytest.mark.parametrize("forward", [True, False])
+def test_current_bit_identical_to_plain_quad(n, v, gamma, temperature, forward):
+    p = WireParams(n=n, eps0=0.13, v=v, gamma=gamma)
+    mu = (0.13 + 1.3 * abs(v), 0.13 - 0.9 * abs(v))
+    bias = BiasWindow(*(mu if forward else mu[::-1]), temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # IntegrationWarning at the subdivision limit
+        res = landauer_current(p, bias)
+        value, abserr = _plain_current(p, bias)
+    assert (res.value.hex(), res.error_estimate.hex()) == (value.hex(), abserr.hex())
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_current_bit_identical_to_plain_quad_above_subinterval_limit(monkeypatch):
+    monkeypatch.setattr(transport, "_QUAD_LIMIT", 10)
+    p = WireParams(n=20, eps0=0.0, v=1.0, gamma=1.0)
+    for bias in (BiasWindow(2.5, -2.5), BiasWindow(-2.5, 2.5, 0.02)):
+        res = landauer_current(p, bias)
+        value, abserr = _plain_current(p, bias)
+        assert (res.value.hex(), res.error_estimate.hex()) == (value.hex(), abserr.hex())
 
 
 def test_bias_window_validation():

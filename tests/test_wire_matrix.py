@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwire import (
     EXACT,
+    NumericalError,
     SymToeplitzTridiag,
     WireMatrix,
     WireParams,
@@ -17,6 +20,7 @@ from qwire import (
     first_inverse_column,
     hat_dets,
 )
+from qwire.wire_matrix import _continuants
 
 from oracles import dense_corner_cofactor, dense_det, dense_wire_matrix
 
@@ -105,6 +109,39 @@ def test_hat_dets_vectorized_matches_scalar():
         assert h.c_n2[k] == hs.c_n2
 
 
+def _one_step_continuants(alpha, b2, n, zero, one):
+    """The recurrence one step per pass, keeping Chat_{k-2} at every step."""
+    older, prev2, prev = zero, zero, one
+    for _ in range(n):
+        older, prev2, prev = prev2, prev, alpha * prev - b2 * prev2
+    return prev, prev2, older
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    eps0=st.floats(-2.0, 2.0),
+    v=st.floats(0.5, 2.0).flatmap(lambda m: st.sampled_from([m, -m])),
+    offsets=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
+)
+@example(n=1, eps0=0.0, v=1.0, offsets=[0.0])
+@example(n=2, eps0=0.0, v=1.0, offsets=[0.0])
+@example(n=400, eps0=0.3, v=-2.0, offsets=[-5.0, 5.0])
+def test_continuant_kernel_matches_one_step_recurrence(n, eps0, v, offsets):
+    # offsets in band widths 4|v|: up to five band widths outside the band,
+    # where both loops overflow to inf and then nan in the same places.
+    alpha = eps0 - (eps0 + 4.0 * abs(v) * np.array(offsets))
+    b2 = v * v
+    with np.errstate(all="ignore"):
+        got = _continuants(alpha, b2, n, np.zeros_like(alpha), np.ones_like(alpha))
+        want = _one_step_continuants(alpha, b2, n, np.zeros_like(alpha), np.ones_like(alpha))
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    for a in alpha.tolist():
+        got = _continuants(a, b2, n, 0.0, 1.0)
+        want = _one_step_continuants(a, b2, n, 0.0, 1.0)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_hat_dets_reject_non_finite_energy():
     p = WireParams(n=2, eps0=0.0, v=1.0, gamma=1.0)
     with pytest.raises(ValueError):
@@ -164,6 +201,11 @@ def test_corner_cofactor_wire_values():
     assert corner_cofactor_wire(WireParams(n=4, eps0=0.0, v=2.0, gamma=1.0)) == 8.0
     assert corner_cofactor_wire(WireParams(n=1, eps0=0.0, v=5.0, gamma=1.0)) == 1.0
     assert corner_cofactor_wire(WireParams(n=3, eps0=0.0, v=-2.0, gamma=1.0)) == 4.0
+
+
+def test_corner_cofactor_wire_overflow_raises_numerical_error():
+    with pytest.raises(NumericalError, match=r"v\*\*\(n-1\)"):
+        corner_cofactor_wire(WireParams(n=2000, eps0=0.0, v=1.5, gamma=0.5))
 
 
 def test_corner_cofactor_wire_matches_dense_signed_cofactor():
