@@ -15,6 +15,12 @@ evaluated at the drive energy; relative to that inverse column the
 integrated phases carry an extra per-site factor (-1)^i together with a
 complex conjugation (a gauge freedom of the site basis), which the
 steady-state comparison resolves explicitly.
+
+``integrate`` uses classical RK4 with a fixed step.  The system matrix A is
+tridiagonal and the drive is one frequency, so every RK4 step is the same
+affine map: a matrix M of half-bandwidth at most 4 (a quartic in A) plus
+the drive vector rotated by e^{i(eps0 - eps_k) t}.  Both are built once per
+call from one RK4 step, and every step of the loop is one banded product.
 """
 
 from __future__ import annotations
@@ -24,15 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, ConfigError, PreconditionError
 from .wire_matrix import WireParams, first_inverse_column
 
 _RESOLUTION_LIMIT = 0.1
-# Largest site count integrated on Python complex.  Median RK4 step, scalar
-# against numpy loop (2-core Xeon, Python 3.11, numpy 2.4): n=16 48 vs 66 us,
-# n=24 65 vs 68 us, n=26 71 vs 68 us.
-_SCALAR_MAX_N = 24
 
 
 @dataclass(frozen=True)
@@ -99,13 +102,13 @@ def integrate(
     step is checked for finiteness and against the crude stability bound
     ``|U_i| <= n * v_lead / (gamma / 2)``.
 
-    The loop body comes in two forms, picked by the site count alone: up to
-    ``_SCALAR_MAX_N`` sites the state is a list of Python ``complex``, which
-    avoids numpy's per-operation dispatch on short wires; above it the state
-    is a numpy array.  Both run the same multiplies, adds and subtracts in
-    the same order, and take the drive from the C library's exp, cos and sin
-    (``cmath.exp`` against ``np.exp``), so they return bit-identical
-    trajectories; the test suite compares them by ``tobytes()``.
+    The system is linear and its drive is e^{i omega t} times a fixed
+    vector, so one RK4 step from t_k is exactly
+    ``U_{k+1} = M U_k + e^{i omega t_k} c`` with
+    ``M = I + B + B**2/2 + B**3/6 + B**4/24``, ``B = dt * A``, and ``c`` the
+    step taken from U = 0 at t = 0.  Both come from one textbook RK4 step
+    (``_step_map``); each step of the loop is then one banded product and
+    one ``cmath.exp``.
 
     Raises
     ------
@@ -127,110 +130,77 @@ def integrate(
     u = np.empty((n_steps + 1, p.n), dtype=complex)
     times[0] = 0.0
     u[0] = 0.0
-    loop = _scalar_steps if p.n <= _SCALAR_MAX_N else _array_steps
-    loop(p, p.eps0 - drive_energy, cfg.t_max / n_steps, times, u)
+    omega = p.eps0 - drive_energy
+    dt = cfg.t_max / n_steps
+    band, c = _step_map(p, omega, dt)
+    rows = np.conj(band)  # np.vecdot conjugates its first argument
+    w = band.shape[1] // 2
+    padded = np.zeros(p.n + 2 * w, dtype=complex)  # U with w zero sites each side
+    y = padded[w : w + p.n]
+    windows = sliding_window_view(padded, 2 * w + 1)  # windows[i, d] = U_{i+d-w}
+    bound = p.n * p.v_lead / (0.5 * p.gamma)
+    iw = 1j * omega
+    exp = cmath.exp
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        np.add(np.vecdot(rows, windows), exp(iw * t) * c, out=y)
+        t = k * dt
+        _check_step(y, t, bound)
+        times[k] = t
+        u[k] = y
     return EvolutionTrajectory(times=times, u=u, drive_energy=drive_energy)
 
 
-def _check_step(peak: float, t: float, bound: float) -> None:
+def _step_map(
+    p: WireParams, omega: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band of the RK4 step matrix M and the drive vector c.
+
+    ``band[i, d] = M[i, i + d - w]`` (zero outside the wire), with half-width
+    ``w = min(4, n - 1)``: M is a quartic in the tridiagonal A.  One RK4 step
+    runs on the columns at once: ``2w + 1`` comb vectors, whose ones sit
+    ``2w + 1`` sites apart so that their images under M do not overlap, and a
+    zero column that alone feels the drive, whose image is c.
+    """
+    n = p.n
+    w = min(4, n - 1)
+    width = 2 * w + 1
+    iv = 1j * p.v
+    ivl = 1j * p.v_lead
+    g = 0.5 * p.gamma
+    sites = np.arange(n)
+    y = np.zeros((n, width + 1), dtype=complex)
+    y[sites, sites % width] = 1.0
+    driven = np.zeros(width + 1)
+    driven[-1] = 1.0
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(y)
+        out[:-1] -= iv * y[1:]
+        out[1:] -= iv * y[:-1]
+        out[0] -= ivl * cmath.exp(1j * omega * t) * driven + g * y[0]
+        out[-1] -= g * y[-1]
+        return out
+
+    k1 = rhs(0.0, y)
+    k2 = rhs(0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(dt, y + dt * k3)
+    image = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    cols = sites[:, None] + np.arange(-w, w + 1)
+    band = np.where((cols >= 0) & (cols < n), image[sites[:, None], cols % width], 0.0)
+    return band, image[:, -1].copy()
+
+
+def _check_step(y: np.ndarray, t: float, bound: float) -> None:
+    with np.errstate(all="ignore"):  # a modulus beyond the double range is inf
+        peak = float(np.maximum.reduce(np.abs(y)))
     if not math.isfinite(peak):
         raise BlowUpError(f"non-finite state at t={t:.6g}")
     if peak > bound * (1.0 + 1e-9):
         raise BlowUpError(
             f"|U| = {peak:.3e} exceeds stability bound {bound:.3e} at t={t:.6g}"
         )
-
-
-def _array_steps(
-    p: WireParams, omega: float, dt: float, times: np.ndarray, u: np.ndarray
-) -> None:
-    """RK4 on a numpy state; fills ``times[1:]`` and ``u[1:]``."""
-    gamma_half = 0.5 * p.gamma
-    v = p.v
-    vl = p.v_lead
-    n = p.n
-    bound = n * vl / gamma_half
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        if n > 1:
-            out[:-1] -= 1j * v * y[1:]
-            out[1:] -= 1j * v * y[:-1]
-        out[0] -= 1j * vl * np.exp(1j * omega * t) + gamma_half * y[0]
-        out[n - 1] -= gamma_half * y[n - 1]
-        return out
-
-    y = np.zeros(n, dtype=complex)
-    t = 0.0
-    for k in range(1, times.size):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = k * dt
-        _check_step(float(np.max(np.abs(y))), t, bound)
-        times[k] = t
-        u[k] = y
-
-
-def _scalar_steps(
-    p: WireParams, omega: float, dt: float, times: np.ndarray, u: np.ndarray
-) -> None:
-    """RK4 on a list of Python ``complex``, bit-identical to ``_array_steps``.
-
-    numpy multiplies a real scalar into a complex array as the complex
-    number (x + 0j), so every real factor here is made ``complex`` up front;
-    ``0j - a - b`` keeps the signed zeros of numpy's in-place subtracts from
-    a zero array, and subtracting a padding ``0j`` is exact.
-    """
-    n = p.n
-    iv = 1j * p.v
-    ivl = 1j * p.v_lead
-    iw = 1j * omega
-    g = complex(0.5 * p.gamma)
-    bound = n * p.v_lead / (0.5 * p.gamma)
-    half = complex(0.5 * dt)
-    full = complex(dt)
-    sixth = complex(dt / 6.0)
-    two = complex(2.0)
-    exp = cmath.exp
-
-    def rhs(t: float, y: list[complex]) -> list[complex]:
-        w = [0j, *[iv * z for z in y], 0j]
-        out = [0j - r - l for r, l in zip(w[2:], w)]
-        out[0] = out[0] - (ivl * exp(iw * t) + g * y[0])
-        out[-1] = out[-1] - g * y[-1]
-        return out
-
-    y = [0j] * n
-    t = 0.0
-    for k in range(1, times.size):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, [a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(t + 0.5 * dt, [a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(t + dt, [a + full * b for a, b in zip(y, k3)])
-        y = [
-            a + sixth * (b1 + two * b2 + two * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
-        t = k * dt
-        _check_step(_max_modulus(y), t, bound)
-        times[k] = t
-        u[k] = y
-
-
-def _max_modulus(y: list[complex]) -> float:
-    """Largest |y_i|; ``inf`` when any site is non-finite or its modulus overflows.
-
-    ``max`` alone would skip a nan that is not first, and ``abs`` raises
-    ``OverflowError`` where numpy's modulus overflows to inf.
-    """
-    try:
-        mods = [abs(z) for z in y]
-    except OverflowError:
-        return math.inf
-    return max(mods) if all(map(math.isfinite, mods)) else math.inf
 
 
 def steady_state_amplitudes(p: WireParams, drive_energy: float) -> np.ndarray:

@@ -153,9 +153,21 @@ def _det_sq(re: EnergyLike, im: EnergyLike) -> EnergyLike:
 
 
 def _gf_numerator(p: WireParams) -> float:
-    """gamma**2 * cof**2, the energy-independent numerator of the GF route."""
+    """gamma**2 * cof**2, the energy-independent numerator of the GF route.
+
+    Raises
+    ------
+    NumericalError
+        ``cof`` or the numerator leaves the double range.
+    """
     cof = corner_cofactor_wire(p)
-    return p.gamma ** 2 * cof * cof
+    num = p.gamma ** 2 * cof * cof
+    if not math.isfinite(num):
+        raise NumericalError(
+            f"GF numerator gamma**2 * cof**2 = {p.gamma}**2 * ({p.v}**{p.n - 1})**2 "
+            "leaves the double range"
+        )
+    return num
 
 
 def _gf_quotient(num: float, re: EnergyLike, im: EnergyLike) -> EnergyLike:
@@ -167,6 +179,11 @@ def _gf(p: WireParams, h: HatDets) -> EnergyLike:
     return _gf_quotient(_gf_numerator(p), *h.corner_split(p.gamma))
 
 
+def _require_finite(what: str, *values: EnergyLike) -> None:
+    if not all(np.all(np.isfinite(x)) for x in values):
+        raise NumericalError(f"{what} is non-finite (the recurrence left the double range)")
+
+
 def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
     """Green's-function transmittance gamma**2 * cof**2 / |det C|**2.
 
@@ -175,16 +192,29 @@ def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
     Raises
     ------
     NumericalError
-        Scalar energy at which ``|det C|**2`` underflows to 0 (an array
-        energy yields ``nan`` or ``inf`` there instead).
+        The numerator leaves the double range, ``|det C|**2`` underflows to 0
+        at a scalar energy, or any transmittance is non-finite.
     """
-    return _gf(p, hat_dets(p, eps))
+    with np.errstate(all="ignore"):  # non-finite values raise below
+        t = _gf(p, hat_dets(p, eps))
+    _require_finite("GF transmittance", t)
+    return t
 
 
 def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
-    """The three averaged evolution-operator terms at probe energy ``eps``."""
-    h = hat_dets(p, eps)
-    return _eo_terms(p, h, _det_sq(*h.corner_split(p.gamma)))
+    """The three averaged evolution-operator terms at probe energy ``eps``.
+
+    Raises
+    ------
+    NumericalError
+        ``|det C|**2`` underflows to 0 at a scalar energy, or any term is
+        non-finite.
+    """
+    with np.errstate(all="ignore"):  # non-finite values raise below
+        h = hat_dets(p, eps)
+        terms = _eo_terms(p, h, _det_sq(*h.corner_split(p.gamma)))
+    _require_finite("EO term", terms.term_u1, terms.term_uN, terms.term_im)
+    return terms
 
 
 def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
@@ -328,8 +358,9 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     Raises
     ------
     NumericalError
-        The corner cofactor ``v**(n-1)`` leaves the double range, or
-        ``|det C|**2`` underflows to 0 inside the window.
+        The corner cofactor ``v**(n-1)`` or the numerator
+        ``gamma**2 * cof**2`` leaves the double range, or ``|det C|**2``
+        underflows to 0 inside the window.
     """
     if bias.mu_left == bias.mu_right:
         return CurrentResult(value=0.0, error_estimate=0.0, window=(bias.mu_left, bias.mu_right))

@@ -338,6 +338,22 @@ def test_cofactor_overflow_exits_1_without_traceback(command):
     assert err.count("qwire: ") == 1 and "v**(n-1)" in err and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--from", "-1", "--to", "1", "--points", "3"],
+    ["current", "--mu-l", "0.1", "--mu-r", "-0.1"],
+])
+def test_gf_numerator_overflow_exits_1_without_nan(command):
+    # 1000 sites with v = 1.5: gamma**2 * v**(2n-2) exceeds the double range
+    # although v**(n-1) does not; no NaN may reach stdout.
+    code, out, err = run_text(
+        command[0], "-N", "1000", "--eps0", "0", "--v", "1.5", "--gamma", "0.5", *command[1:],
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("qwire: ") == 1 and "GF numerator" in err and err.endswith("\n")
+
+
 # --- evolve subcommand ---------------------------------------------------------------
 
 def test_evolve_columns_and_summary():

@@ -115,12 +115,17 @@ def test_scalar_path_bit_identical_to_array(n, eps0, v, gamma, offset):
     with np.errstate(all="ignore"):
         scalar = hat_dets(p, eps)
         array = hat_dets(p, np.array([eps]))
-        t_scalar = transmittance_gf(p, eps)
-        t_array = transmittance_gf(p, np.array([eps]))
-    assert isinstance(scalar.c_n, float) and isinstance(t_scalar, float)
+    assert isinstance(scalar.c_n, float)
     for name in ("c_n", "c_n1", "c_n2"):
         assert _bits(getattr(scalar, name)) == _bits(getattr(array, name)[0])
-    assert _bits(t_scalar) == _bits(t_array[0])
+    try:
+        t_scalar = transmittance_gf(p, eps)
+    except NumericalError:  # a non-finite value raises on both paths
+        with pytest.raises(NumericalError):
+            transmittance_gf(p, np.array([eps]))
+        return
+    assert isinstance(t_scalar, float)
+    assert _bits(t_scalar) == _bits(transmittance_gf(p, np.array([eps]))[0])
 
 
 # --- evolution-operator route -------------------------------------------------
@@ -175,11 +180,39 @@ def test_overflowing_wire_raises_without_numpy_warnings(n):
         lambda: equivalence_report(p, grid),
         lambda: spectrum(p, -2.5, 2.5, 24, "both"),
         lambda: transmittance_eo(p, grid),
+        lambda: eo_terms(p, grid),
     ]
-    for call in calls:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+    if n == 1650:
+        calls.append(lambda: transmittance_gf(p, grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
             with pytest.raises(NumericalError):
+                call()
+        if n == 700:
+            # Only |det C|**2 overflows, to inf, so T = 0 there: the true value
+            # is about 1e-422, below the smallest subnormal.
+            t = transmittance_gf(p, grid)
+            assert t[0] == 0.0 and np.all(np.isfinite(t))
+
+
+def test_gf_numerator_overflow_raises_numerical_error():
+    # 1000 sites with v = 1.5: v**(n-1) ~ 1e176 fits in a double, its square
+    # does not, so every GF value would be inf / inf = nan.
+    p = WireParams(n=1000, eps0=0.0, v=1.5, gamma=0.5)
+    calls = [
+        lambda: transmittance_gf(p, 0.05),
+        lambda: transmittance_gf(p, np.array([0.05, 0.1])),
+        lambda: spectrum(p, -1.0, 1.0, 3, "gf"),
+        lambda: spectrum(p, -1.0, 1.0, 3, "both"),
+        lambda: equivalence_report(p, np.linspace(-1.0, 1.0, 3)),
+        lambda: landauer_current(p, BiasWindow(0.1, -0.1)),
+        lambda: landauer_current(p, BiasWindow(0.1, -0.1, temperature=0.01)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NumericalError, match="GF numerator"):
                 call()
 
 
