@@ -19,8 +19,8 @@ steady-state comparison resolves explicitly.
 ``integrate`` uses classical RK4 with a fixed step.  The system matrix A is
 tridiagonal and the drive is one frequency, so every RK4 step is the same
 affine map: a matrix M of half-bandwidth at most 4 (a quartic in A) plus
-the drive vector rotated by e^{i(eps0 - eps_k) t}.  Both are built once per
-call from one RK4 step, and every step of the loop is one banded product.
+the drive vector rotated by e^{i(eps0 - eps_k) t}.  So is every run of K
+steps, with M**K of half-bandwidth 4K: one banded product advances K states.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def integrate(
     vector, so one RK4 step from t_k is exactly
     ``U_{k+1} = M U_k + e^{i omega t_k} c`` with
     ``M = I + B + B**2/2 + B**3/6 + B**4/24``, ``B = dt * A``, and ``c`` the
-    step taken from U = 0 at t = 0.  Both come from one textbook RK4 step
-    (``_step_map``); each step of the loop is then one banded product and
-    one ``cmath.exp``.
+    step taken from U = 0 at t = 0 (``_step_map``).  Hence a block of m states,
+    ``U_{k+m} = M**m U_k + e^{i omega t_k} U_m``, is M**m times the block before
+    plus rotated copies of U_m; blocks double up to ``_block_size(n)`` while squaring pays.
 
     Raises
     ------
@@ -126,81 +126,111 @@ def integrate(
             f"reduce dt below {_RESOLUTION_LIMIT / scale:.3e}"
         )
     n_steps = max(1, int(math.ceil(cfg.t_max / cfg.dt - 1e-9)))
-    times = np.empty(n_steps + 1)
-    u = np.empty((n_steps + 1, p.n), dtype=complex)
-    times[0] = 0.0
-    u[0] = 0.0
-    omega = p.eps0 - drive_energy
     dt = cfg.t_max / n_steps
-    band, c = _step_map(p, omega, dt)
-    rows = np.conj(band)  # np.vecdot conjugates its first argument
-    w = band.shape[1] // 2
-    padded = np.zeros(p.n + 2 * w, dtype=complex)  # U with w zero sites each side
-    y = padded[w : w + p.n]
-    windows = sliding_window_view(padded, 2 * w + 1)  # windows[i, d] = U_{i+d-w}
+    times = np.arange(n_steps + 1) * dt
+    u = np.zeros((n_steps + 1, p.n), dtype=complex)
+    omega = p.eps0 - drive_energy
+    phase = np.exp(1j * omega * times)[:, None]
+    rows, r = _step_map(p, omega, dt)
     bound = p.n * p.v_lead / (0.5 * p.gamma)
-    iw = 1j * omega
-    exp = cmath.exp
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        np.add(np.vecdot(rows, windows), exp(iw * t) * c, out=y)
-        t = k * dt
-        _check_step(y, t, bound)
-        times[k] = t
-        u[k] = y
+    size = _block_size(p.n)
+    apply = _banded(rows, 1)
+    k = m = 1  # next row to fill; states per block, and apply multiplies by M**m
+    with np.errstate(all="ignore"):  # a modulus beyond the double range is inf
+        while k <= n_steps:
+            # blocks grow 1, 2, 4, ... while a squaring costs at most 1/8 of the steps left
+            if m < size and m < k and 16 * min(2 * rows.shape[1] - 1, p.n) <= n_steps - k:
+                r = apply(r[None])[0] + phase[m] * r
+                rows = _squared(rows)
+                m *= 2
+                apply = _banded(rows, m)
+            end = min(k + m, n_steps + 1)
+            block = u[k:end]  # M**m times the block before, plus the drive from its times
+            apply(u[k - m : end - m], out=block)
+            block += phase[k - m : end - m] * r
+            _check_rows(block, times[k:end], bound)
+            k = end
     return EvolutionTrajectory(times=times, u=u, drive_energy=drive_energy)
 
 
-def _step_map(
-    p: WireParams, omega: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Band of the RK4 step matrix M and the drive vector c.
-
-    ``band[i, d] = M[i, i + d - w]`` (zero outside the wire), with half-width
-    ``w = min(4, n - 1)``: M is a quartic in the tridiagonal A.  One RK4 step
-    runs on the columns at once: ``2w + 1`` comb vectors, whose ones sit
-    ``2w + 1`` sites apart so that their images under M do not overlap, and a
-    zero column that alone feels the drive, whose image is c.
-    """
-    n = p.n
-    w = min(4, n - 1)
-    width = 2 * w + 1
-    iv = 1j * p.v
-    ivl = 1j * p.v_lead
-    g = 0.5 * p.gamma
-    sites = np.arange(n)
-    y = np.zeros((n, width + 1), dtype=complex)
-    y[sites, sites % width] = 1.0
-    driven = np.zeros(width + 1)
-    driven[-1] = 1.0
+def _step_map(p: WireParams, omega: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugated band (``_banded``) of the RK4 step matrix M, a quartic in A, and the
+    drive vector c: one RK4 step of comb vectors and of a zero row, which alone is driven."""
+    iv, ivl, g = 1j * p.v, 1j * p.v_lead, 0.5 * p.gamma
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         out = np.zeros_like(y)
-        out[:-1] -= iv * y[1:]
-        out[1:] -= iv * y[:-1]
-        out[0] -= ivl * cmath.exp(1j * omega * t) * driven + g * y[0]
-        out[-1] -= g * y[-1]
+        out[:, :-1] -= iv * y[:, 1:]
+        out[:, 1:] -= iv * y[:, :-1]
+        out[-1, 0] -= ivl * cmath.exp(1j * omega * t)
+        out[:, 0] -= g * y[:, 0]
+        out[:, -1] -= g * y[:, -1]
         return out
 
-    k1 = rhs(0.0, y)
-    k2 = rhs(0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(dt, y + dt * k3)
-    image = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def step(combs: np.ndarray) -> np.ndarray:
+        y = np.vstack([combs, np.zeros(p.n)])
+        k1 = rhs(0.0, y)
+        k2 = rhs(0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(dt, y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    band, image = _read_band(step, p.n, min(4, p.n - 1))
+    return band, image[-1]
+
+
+def _read_band(apply, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugated band (``_banded``) of the P of half-width w with ``apply(x)[j] = P @ x[j]``,
+    and ``apply``'s rows for comb vectors, ones ``2w + 1`` sites apart: images don't overlap."""
+    sites = np.arange(n)
+    image = apply((sites % (2 * w + 1) == sites[: 2 * w + 1, None]).astype(complex))
     cols = sites[:, None] + np.arange(-w, w + 1)
-    band = np.where((cols >= 0) & (cols < n), image[sites[:, None], cols % width], 0.0)
-    return band, image[:, -1].copy()
+    entries = np.conj(image[cols.clip(0, n - 1) % (2 * w + 1), sites[:, None]])
+    return np.where((cols >= 0) & (cols < n), entries, 0.0), image
 
 
-def _check_step(y: np.ndarray, t: float, bound: float) -> None:
-    with np.errstate(all="ignore"):  # a modulus beyond the double range is inf
-        peak = float(np.maximum.reduce(np.abs(y)))
-    if not math.isfinite(peak):
-        raise BlowUpError(f"non-finite state at t={t:.6g}")
-    if peak > bound * (1.0 + 1e-9):
-        raise BlowUpError(
-            f"|U| = {peak:.3e} exceeds stability bound {bound:.3e} at t={t:.6g}"
-        )
+def _banded(rows: np.ndarray, count: int):
+    """``apply(x, out)`` sets ``out[j] = P @ x[j]`` for up to ``count`` rows of x, with P given
+    as ``rows[i, d] = conj(P[i, i + d - w])``: ``np.vecdot`` conjugates its first argument."""
+    n, w = len(rows), rows.shape[1] // 2
+    padded = np.zeros((count, n + 2 * w), dtype=complex)  # w zero sites each side
+    windows = sliding_window_view(padded, 2 * w + 1, axis=1)  # windows[j, i, d] = x[j, i + d - w]
+    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        padded[: len(x), w : w + n] = x
+        return np.vecdot(rows, windows[: len(x)], out=out)
+    return apply
+
+
+def _squared(rows: np.ndarray) -> np.ndarray:
+    """Conjugated band of P**2 from that of P."""
+    n, w = len(rows), min(rows.shape[1] - 1, len(rows) - 1)
+    apply = _banded(rows, min(2 * w + 1, n))  # one row per comb vector
+    return _read_band(lambda x: apply(apply(x)), n, w)[0]
+
+
+def _block_size(n: int) -> int:
+    """States per block: the largest power of two K <= 256 whose band of M**K,
+    ``min(8K + 1, 2n - 1)`` wide, costs at most 6000 products per state.
+    Fitted to ``integrate``'s µs per step (best of 7, one core; K = 1/2/4/8/256, * = rule):
+    n=32: 7.2/3.9/3.1/3.3/2.6*  n=64: 7.4/5.6/4.7/3.9*/6.7  n=100: 9.4/6.3/5.4*/6.3/16.6
+    n=300: 21.3/18.0*/17.9/21.4/189  n=1000: 59.6*/62.7/79.3/138/3528
+    """
+    k = 256
+    while k > 1 and n * min(8 * k + 1, 2 * n - 1) > 6000:
+        k //= 2
+    return k
+
+
+def _check_rows(rows: np.ndarray, times: np.ndarray, bound: float) -> None:
+    """Raise at the first state (row) that is non-finite or beyond the stability bound."""
+    limit = bound * (1.0 + 1e-9)
+    if np.maximum.reduce(np.vecdot(rows, rows).real) <= limit * limit:  # >= max |U_i|**2, or nan
+        return
+    for peak, t in zip(np.maximum.reduce(np.abs(rows), axis=1).tolist(), times.tolist()):
+        if not math.isfinite(peak):
+            raise BlowUpError(f"non-finite state at t={t:.6g}")
+        if peak > limit:
+            raise BlowUpError(f"|U| = {peak:.3e} exceeds stability bound {bound:.3e} at t={t:.6g}")
 
 
 def steady_state_amplitudes(p: WireParams, drive_energy: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from qwire import (
@@ -370,6 +371,37 @@ def test_evolve_columns_and_summary():
     assert len(data) == 121
     first = data[0].split(",")
     assert float(first[0]) == 0.0 and all(float(c) == 0.0 for c in first[1:])
+
+
+def test_evolve_csv_rows_match_per_element_builder(capsys):
+    # The CSV table is built from columns; every row must print as a loop over
+    # Python complex values prints it, with abs(z) for the modulus.
+    assert cli.main([
+        "evolve", "-N", "5", "--eps0", "0.1", "--v", "-0.8", "--gamma", "0.6",
+        "--drive-energy", "0.4", "--dt", "0.05", "--t-max", "20",
+    ]) == 0
+    data = [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(("#", "t,"))]
+    p = WireParams(n=5, eps0=0.1, v=-0.8, gamma=0.6)
+    traj = integrate(p, 0.4, IntegratorConfig(dt=0.05, t_max=20.0))
+    expect = []
+    for t, amplitudes in zip(traj.times.tolist(), traj.u.tolist()):
+        row = [t]
+        for z in amplitudes:
+            row += [z.real, z.imag, abs(z)]
+        expect.append(",".join(map(repr, row)))
+    assert data == expect
+
+
+def test_hypot_rounds_as_python_abs_on_trajectory_values():
+    # Trajectory values scaled by exact powers of two: moduli from about 1e297
+    # down through the subnormals to zero. np.abs differs in the last bit.
+    p = WireParams(n=5, eps0=0.1, v=1.0, gamma=0.8)
+    u = integrate(p, 0.4, IntegratorConfig(dt=0.05, t_max=20.0)).u[1:].ravel()
+    values = np.concatenate([u * 2.0**e for e in range(-990, 1000, 30)])
+    got = np.hypot(values.real, values.imag).tolist()
+    assert [x.hex() for x in got] == [abs(z).hex() for z in values.tolist()]
+    assert np.abs(values).tolist() != [abs(z) for z in values.tolist()]
 
 
 def test_evolve_short_horizon_skips_summary():

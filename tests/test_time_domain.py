@@ -20,6 +20,7 @@ from qwire import (
     integrate,
     steady_state_amplitudes,
     steady_state_compare,
+    transmittance_gf,
 )
 
 from oracles import driven_evolution_exact, scalar_evolution_exact
@@ -262,11 +263,12 @@ def test_moderate_case_stays_within_bound():
 def _plain_rk4(p, drive, cfg):
     """Textbook RK4 on the dense system matrix, four stages per step.
 
-    Takes the step ``integrate`` takes and runs the module's per-step check,
-    so a wire that trips the guard raises the same error.
+    Takes the step ``integrate`` takes and runs the module's check on every
+    new state, so a wire that trips the guard raises the same error.
     """
     n_steps = max(1, int(math.ceil(cfg.t_max / cfg.dt - 1e-9)))
     dt = cfg.t_max / n_steps
+    times = np.arange(n_steps + 1) * dt
     omega = p.eps0 - drive
     a = -1j * p.v * (np.eye(p.n, k=1) + np.eye(p.n, k=-1))
     a[0, 0] -= 0.5 * p.gamma
@@ -286,8 +288,8 @@ def _plain_rk4(p, drive, cfg):
         k3 = f(t + dt / 2, y + dt / 2 * k2)
         k4 = f(t + dt, y + dt * k3)
         u[k + 1] = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        time_domain._check_step(u[k + 1], (k + 1) * dt, bound)
-    return np.arange(n_steps + 1) * dt, u
+        time_domain._check_rows(u[k + 1 : k + 2], times[k + 1 : k + 2], bound)
+    return times, u
 
 
 def _outcome(run, p, drive, cfg):
@@ -334,17 +336,115 @@ def test_integrate_matches_stage_by_stage_rk4(
 )
 def test_step_check_catches_any_site(monkeypatch, bad):
     # A nan that is not first, an infinite part, and a finite value whose
-    # modulus overflows must each fail the check, without a numpy warning.
-    real = time_domain._check_step
-
-    def poisoned(y, t, bound):
-        y = y.copy()
-        y[2] = bad
-        real(y, t, bound)
-
-    monkeypatch.setattr(time_domain, "_check_step", poisoned)
+    # modulus overflows must each fail the check, without a numpy warning, in
+    # a state inside a later block and in the first state of a block.
+    real = time_domain._check_rows
     p = WireParams(n=4, eps0=0.0, v=1.0, gamma=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowUpError, match="non-finite state at t=0.05$"):
-            integrate(p, 0.0, IntegratorConfig(dt=0.05, t_max=1.0))
+    size = time_domain._block_size(p.n)
+    assert size > 2
+    for k in (2 * size + size // 2, 3 * size):
+
+        def poisoned(rows, times, bound):
+            rows = rows.copy()
+            rows[times == k * 0.05, 2] = bad
+            real(rows, times, bound)
+
+        monkeypatch.setattr(time_domain, "_check_rows", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match=f"non-finite state at t={k * 0.05:.6g}$"):
+                integrate(p, 0.0, IntegratorConfig(dt=0.05, t_max=0.05 * 4 * size))
+
+
+def test_check_rows_compares_moduli_with_the_bound():
+    # A bound below 1: the moduli, not their squares, are held against it, and
+    # a state whose norm exceeds the bound while no site does passes.
+    time_domain._check_rows(np.array([[0.5, 0.5j]]), np.array([1.0]), 0.6)
+    rows = np.array([[0.0, 0.5], [0.0, 0.6j]])
+    with pytest.raises(BlowUpError, match=r"^\|U\| = 6.000e-01 exceeds .* 5.500e-01 at t=2$"):
+        time_domain._check_rows(rows, np.array([1.0, 2.0]), 0.55)
+
+
+# --- blocks of states: powers of the step map ----------------------------------------
+
+def _dense(rows):
+    """Dense matrix from the conjugated band ``rows[i, d] = conj(P[i, i + d - w])``."""
+    n, width = rows.shape
+    i, d = np.indices(rows.shape)
+    j = i + d - width // 2
+    inside = (j >= 0) & (j < n)
+    assert not np.any(rows[~inside])
+    dense = np.zeros((n, n), dtype=complex)
+    dense[i[inside], j[inside]] = np.conj(rows[inside])
+    return dense
+
+
+@pytest.mark.parametrize("steps", [255, 256, 257, 1500])
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 9, 40, 100])
+def test_integrate_matches_stage_by_stage_rk4_across_blocks(n, steps):
+    # Runs that end one state before, at and one state after the 256th state,
+    # where the blocks stop doubling, and a run of many full blocks (K = 256
+    # for n <= 40, 4 for n = 100).
+    p = WireParams(n=n, eps0=0.2, v=-0.9, gamma=0.7, bandwidth=2.0)
+    drive = -0.4
+    cfg = IntegratorConfig(dt=0.04, t_max=0.04 * steps)
+    got = integrate(p, drive, cfg)
+    times, u = _plain_rk4(p, drive, cfg)
+    assert np.array_equal(got.times, times)
+    assert np.max(np.abs(got.u - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+def test_blow_up_inside_a_later_block_matches_stage_by_stage_rk4():
+    p = WireParams(n=3, eps0=0.0, v=0.1, gamma=4.0)
+    cfg = IntegratorConfig(dt=0.025, t_max=400.0)
+    message = "|U| = 1.197e+00 exceeds stability bound 1.197e+00 at t=36"
+    first_failing = 1440  # t = 36
+    size = time_domain._block_size(p.n)
+    assert first_failing > 2 * size and first_failing % size != 0
+    for run in (integrate, _plain_rk4):
+        with pytest.raises(BlowUpError) as err:
+            run(p, 0.0, cfg)
+        assert str(err.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    log_k=st.integers(0, 8),
+    v=st.floats(0.05, 3.0).flatmap(lambda m: st.sampled_from([m, -m])),
+    gamma=st.floats(0.05, 4.0),
+    detuning=st.floats(-4.0, 4.0),
+    resolution=st.floats(0.01, 1.0),
+)
+def test_doubled_band_matches_dense_matrix_power(n, log_k, v, gamma, detuning, resolution):
+    p = WireParams(n=n, eps0=0.0, v=v, gamma=gamma)
+    dt = resolution * 0.1 / max(abs(detuning), gamma, abs(v))
+    rows, _ = time_domain._step_map(p, detuning, dt)
+    step = _dense(rows)
+    for _ in range(log_k):
+        rows = time_domain._squared(rows)
+    assert rows.shape[1] == 2 * min(4 << log_k, n - 1) + 1
+    expect = np.linalg.matrix_power(step, 1 << log_k)
+    assert np.max(np.abs(_dense(rows) - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+# --- a third route to T: the discrete steady state of the step map -------------------
+
+@pytest.mark.parametrize("eps", [0.3, -1.1])
+def test_discrete_fixed_point_gives_transmittance(eps):
+    # In the rotating frame V_k = e^{-i omega t_k} U_k the RK4 map is
+    # V_{k+1} = N V_k + d with N = e^{-i omega dt} M, d = e^{-i omega dt} c; its
+    # fixed point gives T = 2 pi gamma |V*_N|**2 / D to fourth order in dt.
+    p = WireParams(n=6, eps0=0.0, v=1.0, gamma=0.7, bandwidth=1.3)
+    omega = p.eps0 - eps
+    exact = transmittance_gf(p, eps)
+    errors = []
+    for dt in (0.08, 0.04, 0.02):
+        rows, c = time_domain._step_map(p, omega, dt)
+        turn = np.exp(-1j * omega * dt)
+        fixed = np.linalg.solve(np.eye(p.n) - turn * _dense(rows), turn * c)
+        t_td = 2.0 * math.pi * p.gamma * abs(fixed[-1]) ** 2 / p.bandwidth
+        errors.append(abs(t_td - exact))
+    assert min(errors) > 1e-11  # above the rounding floor, where the ratio drifts
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
