@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUpError, ConfigError, PreconditionError
 from .wire_matrix import WireParams, first_inverse_column
@@ -108,7 +108,8 @@ def integrate(
     ``M = I + B + B**2/2 + B**3/6 + B**4/24``, ``B = dt * A``, and ``c`` the
     step taken from U = 0 at t = 0 (``_step_map``).  Hence a block of m states,
     ``U_{k+m} = M**m U_k + e^{i omega t_k} U_m``, is M**m times the block before
-    plus rotated copies of U_m; blocks double up to ``_block_size(n)`` while squaring pays.
+    plus rotated copies of U_m.  Blocks double up to ``_block_size(n)`` states, fewer when
+    the steps left would not repay a squaring.
 
     Raises
     ------
@@ -134,86 +135,100 @@ def integrate(
     rows, r = _step_map(p, omega, dt)
     bound = p.n * p.v_lead / (0.5 * p.gamma)
     size = _block_size(p.n)
-    apply = _banded(rows, 1)
-    k = m = 1  # next row to fill; states per block, and apply multiplies by M**m
+    while size > 1 and 16 * min(8 * size + 1, p.n) > n_steps - size:
+        size //= 2  # the squaring at state `size` would cost over 1/8 of the steps left
+    x, windows = _banded(rows, 1)
+    k = m = 1  # next row to fill; states per block, the m before row k held in x
     with np.errstate(all="ignore"):  # a modulus beyond the double range is inf
         while k <= n_steps:
-            # blocks grow 1, 2, 4, ... while a squaring costs at most 1/8 of the steps left
-            if m < size and m < k and 16 * min(2 * rows.shape[1] - 1, p.n) <= n_steps - k:
-                r = apply(r[None])[0] + phase[m] * r
+            if m < size and m < k:  # blocks grow 1, 2, 4, ... up to size
+                x[0] = r  # r = U_m becomes U_2m; x is refilled from u below
+                r = np.vecdot(rows, windows[:1])[0] + phase[m] * r
                 rows = _squared(rows)
                 m *= 2
-                apply = _banded(rows, m)
-            end = min(k + m, n_steps + 1)
-            block = u[k:end]  # M**m times the block before, plus the drive from its times
-            apply(u[k - m : end - m], out=block)
-            block += phase[k - m : end - m] * r
-            _check_rows(block, times[k:end], bound)
+                x, windows = _banded(rows, m)
+                x[...] = u[k - m : k]
+            end = k + m
+            if end > n_steps + 1:  # a shorter last block
+                end = n_steps + 1
+                x, windows = x[: end - k], windows[: end - k]
+            # M**m times the block before, plus the drive from its times
+            np.add(np.vecdot(rows, windows), phase[k - m : end - m] * r, out=x)
+            _check_rows(x, times[k:end], bound)
+            u[k:end] = x
             k = end
     return EvolutionTrajectory(times=times, u=u, drive_energy=drive_energy)
 
 
 def _step_map(p: WireParams, omega: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Conjugated band (``_banded``) of the RK4 step matrix M, a quartic in A, and the
-    drive vector c: one RK4 step of comb vectors and of a zero row, which alone is driven."""
+    drive vector c: one RK4 step of comb vectors and of a zero vector, which alone is driven."""
     iv, ivl, g = 1j * p.v, 1j * p.v_lead, 0.5 * p.gamma
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:  # y[i, j]: site i of vector j
         out = np.zeros_like(y)
-        out[:, :-1] -= iv * y[:, 1:]
-        out[:, 1:] -= iv * y[:, :-1]
-        out[-1, 0] -= ivl * cmath.exp(1j * omega * t)
-        out[:, 0] -= g * y[:, 0]
-        out[:, -1] -= g * y[:, -1]
+        out[:-1] -= iv * y[1:]
+        out[1:] -= iv * y[:-1]
+        out[0, -1] -= ivl * cmath.exp(1j * omega * t)
+        out[0] -= g * y[0]
+        out[-1] -= g * y[-1]
         return out
 
     def step(combs: np.ndarray) -> np.ndarray:
-        y = np.vstack([combs, np.zeros(p.n)])
+        y = np.zeros((p.n, len(combs) + 1), dtype=complex)
+        y[:, :-1] = combs.T
         k1 = rhs(0.0, y)
         k2 = rhs(0.5 * dt, y + 0.5 * dt * k1)
         k3 = rhs(0.5 * dt, y + 0.5 * dt * k2)
         k4 = rhs(dt, y + dt * k3)
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return (y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).T
 
     band, image = _read_band(step, p.n, min(4, p.n - 1))
-    return band, image[-1]
+    return band, image[-1].copy()
 
 
 def _read_band(apply, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Conjugated band (``_banded``) of the P of half-width w with ``apply(x)[j] = P @ x[j]``,
     and ``apply``'s rows for comb vectors, ones ``2w + 1`` sites apart: images don't overlap."""
     sites = np.arange(n)
-    image = apply((sites % (2 * w + 1) == sites[: 2 * w + 1, None]).astype(complex))
+    combs = sites % (2 * w + 1) == sites[: 2 * w + 1, None]  # min(2w + 1, n) of them
+    image = apply(combs.astype(complex))
     cols = sites[:, None] + np.arange(-w, w + 1)
-    entries = np.conj(image[cols.clip(0, n - 1) % (2 * w + 1), sites[:, None]])
+    entries = np.conj(image[cols % len(combs), sites[:, None]])  # taken where cols is in the wire
     return np.where((cols >= 0) & (cols < n), entries, 0.0), image
 
 
-def _banded(rows: np.ndarray, count: int):
-    """``apply(x, out)`` sets ``out[j] = P @ x[j]`` for up to ``count`` rows of x, with P given
-    as ``rows[i, d] = conj(P[i, i + d - w])``: ``np.vecdot`` conjugates its first argument."""
+def _banded(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows x (count by n), w zero sites each side, and windows such that, for P given as
+    ``rows[i, d] = conj(P[i, i + d - w])``, ``np.vecdot(rows, windows)[j] = P @ x[j]``."""
     n, w = len(rows), rows.shape[1] // 2
-    padded = np.zeros((count, n + 2 * w), dtype=complex)  # w zero sites each side
-    windows = sliding_window_view(padded, 2 * w + 1, axis=1)  # windows[j, i, d] = x[j, i + d - w]
-    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        padded[: len(x), w : w + n] = x
-        return np.vecdot(rows, windows[: len(x)], out=out)
-    return apply
+    padded = np.zeros((count, n + 2 * w), dtype=complex)
+    row, site = padded.strides  # windows[j, i, d] = padded[j, i + d]
+    windows = as_strided(padded, (count, n, 2 * w + 1), (row, site, site), writeable=False)
+    return padded[:, w : w + n], windows
 
 
 def _squared(rows: np.ndarray) -> np.ndarray:
     """Conjugated band of P**2 from that of P."""
     n, w = len(rows), min(rows.shape[1] - 1, len(rows) - 1)
-    apply = _banded(rows, min(2 * w + 1, n))  # one row per comb vector
-    return _read_band(lambda x: apply(apply(x)), n, w)[0]
+    x, windows = _banded(rows, min(2 * w + 1, n))  # one row per comb vector
+
+    def twice(combs: np.ndarray) -> np.ndarray:
+        x[...] = combs
+        x[...] = np.vecdot(rows, windows)
+        return np.vecdot(rows, windows)
+
+    return _read_band(twice, n, w)[0]
 
 
 def _block_size(n: int) -> int:
     """States per block: the largest power of two K <= 256 whose band of M**K,
-    ``min(8K + 1, 2n - 1)`` wide, costs at most 6000 products per state.
-    Fitted to ``integrate``'s µs per step (best of 7, one core; K = 1/2/4/8/256, * = rule):
-    n=32: 7.2/3.9/3.1/3.3/2.6*  n=64: 7.4/5.6/4.7/3.9*/6.7  n=100: 9.4/6.3/5.4*/6.3/16.6
-    n=300: 21.3/18.0*/17.9/21.4/189  n=1000: 59.6*/62.7/79.3/138/3528
+    ``min(8K + 1, 2n - 1)`` wide, costs at most 6000 products per state.  Set from
+    ``integrate``'s µs per step on one core (best of 5; K = 1/2/4/8/256, * = rule):
+    n=32: 5.8/5.5/3.1/2.8/2.0*  n=64: 6.8/5.3/4.0/4.0*/5.9  n=100: 9.3/6.8/5.9*/5.7/14.0
+    n=300: 15.5/14.4*/14.2/17.0/-  n=1000: 53.0*/61.1/81.5/148/-
+    The benchmark integrates only n <= 4, where M's band is the whole matrix and K = 256 costs
+    nothing per state; for larger n, as for the squarings' stop in ``integrate``, it is unmeasured.
     """
     k = 256
     while k > 1 and n * min(8 * k + 1, 2 * n - 1) > 6000:
@@ -222,9 +237,12 @@ def _block_size(n: int) -> int:
 
 
 def _check_rows(rows: np.ndarray, times: np.ndarray, bound: float) -> None:
-    """Raise at the first state (row) that is non-finite or beyond the stability bound."""
+    """Raise at the first state (row) that is non-finite or beyond the stability bound.
+    Call under ``np.errstate(all="ignore")``: a square or modulus beyond the double range is inf."""
     limit = bound * (1.0 + 1e-9)
-    if np.maximum.reduce(np.vecdot(rows, rows).real) <= limit * limit:  # >= max |U_i|**2, or nan
+    top = min(limit * limit, math.nextafter(math.inf, 0.0))  # an inf never passes, nor a nan
+    # Sums of |U_i|**2, over the block and then over each state, bound every |U_i|**2.
+    if np.vdot(rows, rows).real <= top or np.maximum.reduce(np.vecdot(rows, rows).real) <= top:
         return
     for peak, t in zip(np.maximum.reduce(np.abs(rows), axis=1).tolist(), times.tolist()):
         if not math.isfinite(peak):

@@ -395,13 +395,12 @@ def test_evolve_csv_rows_match_per_element_builder(capsys):
 
 def test_hypot_rounds_as_python_abs_on_trajectory_values():
     # Trajectory values scaled by exact powers of two: moduli from about 1e297
-    # down through the subnormals to zero. np.abs differs in the last bit.
+    # down through the subnormals to zero.
     p = WireParams(n=5, eps0=0.1, v=1.0, gamma=0.8)
     u = integrate(p, 0.4, IntegratorConfig(dt=0.05, t_max=20.0)).u[1:].ravel()
     values = np.concatenate([u * 2.0**e for e in range(-990, 1000, 30)])
     got = np.hypot(values.real, values.imag).tolist()
     assert [x.hex() for x in got] == [abs(z).hex() for z in values.tolist()]
-    assert np.abs(values).tolist() != [abs(z) for z in values.tolist()]
 
 
 def test_evolve_short_horizon_skips_summary():

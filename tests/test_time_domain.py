@@ -337,12 +337,12 @@ def test_integrate_matches_stage_by_stage_rk4(
 def test_step_check_catches_any_site(monkeypatch, bad):
     # A nan that is not first, an infinite part, and a finite value whose
     # modulus overflows must each fail the check, without a numpy warning, in
-    # a state inside a later block and in the first state of a block.
+    # a state inside a later block and in the first and last states of a block.
     real = time_domain._check_rows
     p = WireParams(n=4, eps0=0.0, v=1.0, gamma=1.0)
     size = time_domain._block_size(p.n)
     assert size > 2
-    for k in (2 * size + size // 2, 3 * size):
+    for k in (2 * size + size // 2, 3 * size, 3 * size - 1):
 
         def poisoned(rows, times, bound):
             rows = rows.copy()
@@ -363,6 +363,15 @@ def test_check_rows_compares_moduli_with_the_bound():
     rows = np.array([[0.0, 0.5], [0.0, 0.6j]])
     with pytest.raises(BlowUpError, match=r"^\|U\| = 6.000e-01 exceeds .* 5.500e-01 at t=2$"):
         time_domain._check_rows(rows, np.array([1.0, 2.0]), 0.55)
+    # Bounds whose squares overflow, under integrate's errstate: sites whose
+    # squares overflow pass within the bound and fail beyond it, as does inf.
+    times = np.array([1.0, 2.0])
+    with np.errstate(all="ignore"):
+        time_domain._check_rows(np.array([[1e200, 0.0], [0.0, 1e200j]]), times, 1e201)
+        with pytest.raises(BlowUpError, match=r"^\|U\| = 1.000e\+300 exceeds .* 1.000e\+200 at t=2$"):
+            time_domain._check_rows(np.array([[1.0, 0.0], [0.0, 1e300j]]), times, 1e200)
+        with pytest.raises(BlowUpError, match="^non-finite state at t=2$"):
+            time_domain._check_rows(np.array([[1.0, 0.0], [0.0, complex(math.inf, 0.0)]]), times, 1e200)
 
 
 # --- blocks of states: powers of the step map ----------------------------------------
