@@ -9,7 +9,8 @@ while the evolution-operator route evaluates
     T(eps) = gamma**2 / (2 |det C|**2)
              * (cof**2 + Chat_{n-1}**2 - Chat_{n-2} * Chat_n).
 
-Both read one ``HatDets``, which each public function evaluates once.  They
+Both read one ``HatDets`` and divide by one ``|det C|**2``, which each public
+function evaluates once and shares between the routes.  They
 agree because the continuant identity turns
 ``Chat_{n-1}**2 - Chat_{n-2}*Chat_n`` into ``v**(2n-2) = cof**2``; the
 equivalence report verifies that bridge (modulo 2**61 - 1, exactly where that
@@ -175,8 +176,14 @@ def _gf_quotient(num: float, re: EnergyLike, im: EnergyLike) -> EnergyLike:
     return num / _det_sq(re, im)
 
 
-def _gf(p: WireParams, h: HatDets) -> EnergyLike:
-    return _gf_quotient(_gf_numerator(p), *h.corner_split(p.gamma))
+def _gf(p: WireParams, det_sq: EnergyLike) -> EnergyLike:
+    return _gf_numerator(p) / det_sq
+
+
+def _dets(p: WireParams, eps: EnergyLike) -> tuple[HatDets, EnergyLike]:
+    """``hat_dets(p, eps)`` and the ``|det C|**2`` that both routes divide by."""
+    h = hat_dets(p, eps)
+    return h, _det_sq(*h.corner_split(p.gamma))
 
 
 def _require_finite(what: str, *values: EnergyLike) -> None:
@@ -196,7 +203,7 @@ def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
         at a scalar energy, or any transmittance is non-finite.
     """
     with np.errstate(all="ignore"):  # non-finite values raise below
-        t = _gf(p, hat_dets(p, eps))
+        t = _gf(p, _dets(p, eps)[1])
     _require_finite("GF transmittance", t)
     return t
 
@@ -211,8 +218,7 @@ def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
         non-finite.
     """
     with np.errstate(all="ignore"):  # non-finite values raise below
-        h = hat_dets(p, eps)
-        terms = _eo_terms(p, h, _det_sq(*h.corner_split(p.gamma)))
+        terms = _eo_terms(p, *_dets(p, eps))
     _require_finite("EO term", terms.term_u1, terms.term_uN, terms.term_im)
     return terms
 
@@ -231,9 +237,8 @@ def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
     return EOTerms(term_u1=term_u1, term_uN=term_uN, term_im=term_im)
 
 
-def _eo(p: WireParams, h: HatDets) -> tuple[EnergyLike, EnergyLike]:
+def _eo(p: WireParams, h: HatDets, det_sq: EnergyLike) -> tuple[EnergyLike, EnergyLike]:
     """EO transmittance and the hat gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n."""
-    det_sq = _det_sq(*h.corner_split(p.gamma))
     cof = corner_cofactor_wire(p)
     gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
     t = 0.5 * p.gamma ** 2 * (cof * cof + gap) / det_sq
@@ -262,7 +267,7 @@ def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
         ``|det C|**2`` underflows to 0 at a scalar energy.
     """
     with np.errstate(all="ignore"):  # non-finite values raise in _eo
-        return _eo(p, hat_dets(p, eps))[0]
+        return _eo(p, *_dets(p, eps))[0]
 
 
 def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport:
@@ -277,9 +282,9 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
     if grid.size == 0:
         raise PreconditionError("energy grid must be non-empty")
     with np.errstate(all="ignore"):  # non-finite values raise in _eo
-        h = hat_dets(p, grid)
-        t_gf = _gf(p, h)
-        t_eo, gap = _eo(p, h)
+        h, det_sq = _dets(p, grid)
+        t_gf = _gf(p, det_sq)
+        t_eo, gap = _eo(p, h, det_sq)
     diff = np.abs(t_gf - t_eo)
     if p.n > 1:
         passes = [_residuals(p.eps0 - e, -p.v, FLOAT, p.n, p.n) for e in grid]
@@ -322,9 +327,9 @@ def spectrum(
     grid = np.linspace(e_min, e_max, points)
     # Non-finite values raise in _eo or in TransmissionSpectrum.
     with np.errstate(all="ignore"):
-        h = hat_dets(p, grid)
-        t_gf = _gf(p, h) if method in ("gf", "both") else None
-        t_eo = _eo(p, h)[0] if method in ("eo", "both") else None
+        h, det_sq = _dets(p, grid)
+        t_gf = _gf(p, det_sq) if method in ("gf", "both") else None
+        t_eo = _eo(p, h, det_sq)[0] if method in ("eo", "both") else None
     return TransmissionSpectrum(
         energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo
     )
@@ -352,8 +357,9 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
 
     T(eps) is the GF transmittance, built once per call: the numerator
     ``gamma**2 * cof**2`` and the corner constants are computed up front and
-    each quadrature evaluation runs only the continuant kernel and the GF
-    quotient.  The values are bit-identical to ``transmittance_gf(p, eps)``.
+    each quadrature evaluation runs only the continuant kernel, about
+    8*log2(n) float operations, and the GF quotient.  The values are
+    bit-identical to ``transmittance_gf(p, eps)``.
 
     Raises
     ------

@@ -115,8 +115,7 @@ class HatDets(NamedTuple):
     """Determinants of the lead-free wire matrix at dimensions n, n-1, n-2.
 
     Conventions Chat_0 = 1 and Chat_{-1} = 0 cover the small-n cases.  The
-    fields are scalars or arrays, matching the probe-energy argument.  A
-    named tuple because one is built per quadrature evaluation.
+    fields are scalars or arrays, matching the probe-energy argument.
     """
 
     c_n: EnergyLike
@@ -135,12 +134,12 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     ``-v`` (the sign of the off-diagonal is irrelevant: only its square
     enters the recurrence).  Accepts a scalar or an array of energies.
 
-    Both kinds of input run one kernel, ``_continuants``, which takes two
-    recurrence steps per loop pass.  A scalar (0-d) energy runs it on Python
-    floats, which avoids numpy's per-operation dispatch when one energy is
-    evaluated at a time (as under adaptive quadrature).  Every step does the
-    same multiply, multiply and subtract in the same order, so a scalar
-    result is bit-identical to the corresponding element of an array result.
+    Both kinds of input run one kernel, ``_continuants``, which reaches
+    index n by doubling in about 8*log2(n) operations.  A scalar (0-d)
+    energy runs it on Python floats, which avoids numpy's per-operation
+    dispatch when one energy is evaluated at a time.  Floats and arrays go
+    through the same operations in the same order, so a scalar result is
+    bit-identical to the corresponding element of an array result.
     """
     if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
         eps = float(eps)
@@ -158,18 +157,26 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
 def _continuants(alpha, b2, n, zero, one):
     """(Chat_n, Chat_{n-1}, Chat_{n-2}) of ``Chat_k = alpha*Chat_{k-1} - b2*Chat_{k-2}``.
 
-    Starts from Chat_{-1} = ``zero`` and Chat_0 = ``one``; n >= 1.  The loop
-    takes two steps per pass up to (Chat_{n-2}, Chat_{n-1}), one odd step
-    follows when n is even, and a last step gives Chat_n.  Every step is
-    ``alpha*x - b2*y`` in that order, for floats and arrays alike.
+    Chat_{-1} = ``zero`` and Chat_0 = ``one``; n >= 1.  Index doubling: the
+    constant coefficients give the addition formula
+    ``C_{j+k} = C_j C_k - b2 C_{j-1} C_{k-1}``, so the pair (C_k, C_{k-1})
+    goes to (C_{2k}, C_{2k-1}) or (C_{2k+1}, C_{2k}) in eight operations.  Starting
+    from (C_1, C_0), one such step per bit of n-1 below its top bit reaches
+    (C_{n-1}, C_{n-2}), and a last recurrence step gives C_n: about
+    8*log2(n) operations in place of 3n.  Floats and arrays run the same
+    operations in the same order, so their results agree bit for bit.
     """
-    a, b = zero, one
-    for _ in range((n - 1) >> 1):
-        a = alpha * b - b2 * a
-        b = alpha * a - b2 * b
-    if not n & 1:
-        a, b = b, alpha * b - b2 * a
-    return alpha * b - b2 * a, b, a
+    c, d = one, zero  # (C_k, C_{k-1}) at k = 0
+    if n > 1:
+        b2x2 = 2 * b2
+        c, d = alpha * one, one  # k = 1
+        for bit in bin(n - 1)[3:]:
+            c2k = c * c - b2 * (d * d)
+            if bit == "0":
+                c, d = c2k, d * (2 * c - alpha * d)
+            else:
+                c, d = c * (alpha * c - b2x2 * d), c2k
+    return alpha * c - b2 * d, c, d
 
 
 def det_wire(p: WireParams, eps: EnergyLike) -> Union[complex, np.ndarray]:

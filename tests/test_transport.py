@@ -593,13 +593,26 @@ def _plain_fermi(e, mu, temperature):
 
 
 def _plain_gf(p, e):
-    """GF transmittance from a one-step continuant loop, no library code."""
+    """GF transmittance from a plain index-doubling continuant loop, no library code.
+
+    (c, d) = (Chat_k, Chat_{k-1}) goes to index 2k or 2k+1 by the continuant
+    addition formula, following the bits of n-1 from the top; one recurrence
+    step then gives Chat_n.
+    """
     alpha, b2, g = p.eps0 - e, p.v * p.v, p.gamma
-    older, prev2, prev = 0.0, 0.0, 1.0
-    for _ in range(p.n):
-        older, prev2, prev = prev2, prev, alpha * prev - b2 * prev2
-    re = prev - 0.25 * g * g * older
-    im = g * prev2
+    if p.n == 1:
+        c, d = 1.0, 0.0
+    else:
+        c, d = alpha * 1.0, 1.0
+        m = p.n - 1
+        for shift in range(m.bit_length() - 2, -1, -1):
+            c2k = c * c - b2 * (d * d)
+            if (m >> shift) & 1:
+                c, d = c * (alpha * c - 2 * b2 * d), c2k
+            else:
+                c, d = c2k, d * (2 * c - alpha * d)
+    re = (alpha * c - b2 * d) - 0.25 * g * g * d
+    im = g * c
     cof = float(p.v) ** (p.n - 1)
     return g ** 2 * cof * cof / (re * re + im * im)
 
