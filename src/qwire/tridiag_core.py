@@ -15,16 +15,17 @@ cofactor, and the residual of the nonlinear continuant identity
 which ties the squared corner cofactor to three consecutive determinants.
 The residual is checked modulo the Mersenne prime 2**61 - 1 first and
 computed exactly only when that check is nonzero: a reported zero means
-"zero mod 2**61 - 1", a nonzero value is exact.
+"zero mod 2**61 - 1", a nonzero value is exact.  The residual at one size n
+reaches A_n by index doubling, in O(log n) operations for the check and the
+exact pass alike; the residuals at every size 2, ..., n come from one pass of
+the recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Union
 
 import numpy as np
@@ -153,6 +154,32 @@ def _exact_continuants(alpha, b2, n: int, modulus: int | None = None):
         yield prev
 
 
+def _exact_triple(alpha, b2, n: int, modulus: int | None = None) -> tuple:
+    """(A_n, A_{n-1}, A_{n-2}) for n >= 2, in exact arithmetic or reduced mod ``modulus``.
+
+    Index doubling, as ``wire_matrix._continuants``: the addition formula
+    ``A_{j+k} = A_j A_k - b2 A_{j-1} A_{k-1}`` takes the pair (A_k, A_{k-1})
+    to (A_{2k}, A_{2k-1}) or (A_{2k+1}, A_{2k}).  Starting from (A_1, A_0),
+    one step per bit of n-1 below its top bit reaches (A_{n-1}, A_{n-2}), and
+    a last recurrence step gives A_n.  With ``modulus`` the pair is reduced
+    after every step, so the values equal those of ``_exact_continuants``.
+    """
+    b2x2 = 2 * b2
+    c, d = alpha, 1  # (A_k, A_{k-1}) at k = 1
+    for bit in bin(n - 1)[3:]:
+        c2k = c * c - b2 * (d * d)
+        if bit == "0":
+            c, d = c2k, d * (2 * c - alpha * d)
+        else:
+            c, d = c * (alpha * c - b2x2 * d), c2k
+        if modulus:
+            c, d = c % modulus, d % modulus
+    a_n = alpha * c - b2 * d
+    if modulus:
+        a_n, c = a_n % modulus, c % modulus  # c is still alpha when n = 2
+    return a_n, c, d
+
+
 def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
     """Determinant sequence [A_0, A_1, ..., A_n] via the three-term recurrence.
 
@@ -247,13 +274,20 @@ def _identity_inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
 def _identity_gaps(alpha, b2, n_max: int, n_min: int, modulus: int | None = None):
     """Yield (beta**(2n-2), beta**(2n-2) - (A_{n-1}**2 - A_{n-2} A_n)) for n = n_min, ..., n_max.
 
-    ``b2`` is beta**2.  With ``modulus`` both values are only congruent to the
-    exact ones (the continuants and the power are reduced, the difference is not).
+    ``b2`` is beta**2 and ``n_min`` is 2 or ``n_max``.  A single size takes
+    ``_exact_triple``, O(log n) operations; every size from 2 takes one
+    ``_exact_continuants`` pass.  With ``modulus`` both values are only
+    congruent to the exact ones (the continuants and the power are reduced,
+    the difference is not).
     """
+    if n_min == n_max:
+        a_n, a_n1, a_n2 = _exact_triple(alpha, b2, n_max, modulus)
+        power = pow(b2, n_max - 1, modulus)
+        yield power, power - (a_n1 * a_n1 - a_n2 * a_n)
+        return
     continuants = _exact_continuants(alpha, b2, n_max, modulus)
-    deque(islice(continuants, n_min - 2), maxlen=0)  # skip A_0, ..., A_{n_min-3}
     a_n2, a_n1 = next(continuants), next(continuants)
-    power = pow(b2, n_min - 2, modulus)
+    power = 1
     for a_n in continuants:
         power *= b2
         if modulus:
@@ -290,6 +324,8 @@ def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
 def _residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> tuple[list, bool]:
     """Identity residuals at sizes n = n_min, ..., n_max >= 2, and whether the exact pass ran.
 
+    ``n_min`` is 2 (every size, one recurrence pass) or ``n_max`` (one size,
+    by index doubling); the check and the exact pass run the same kernel.
     The residuals of the scaled integers are first checked modulo
     ``_FINGERPRINT_PRIME``.  When all vanish there, the zeros the exact pass
     gives for a correct recurrence are returned (0.0 in float mode, 0 or
@@ -326,7 +362,8 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
     The residual is first evaluated modulo the prime 2**61 - 1.  A zero
     result means the residual is zero mod 2**61 - 1 (and is returned as 0,
     Fraction(0) or 0.0); only a nonzero one triggers the exact big-integer
-    pass, whose value is then returned.
+    pass, whose value is then returned.  Both reach A_n by index doubling
+    (``_exact_triple``), in O(log n) operations.
 
     Raises
     ------

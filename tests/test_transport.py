@@ -365,16 +365,15 @@ def test_bridge_never_takes_exact_pass_for_correct_recurrence(monkeypatch):
 
 
 def test_broken_recurrence_makes_bridge_report_exact_residual(monkeypatch):
-    def off_by_one(alpha, b2, n, modulus=None):
-        prev2, prev = 0, 1
-        yield prev
-        for _ in range(n):
-            prev2, prev = prev, alpha * prev - b2 * prev2 + 1
-            if modulus:
-                prev %= modulus
-            yield prev
+    real = tridiag_core._exact_triple
 
-    monkeypatch.setattr(tridiag_core, "_exact_continuants", off_by_one)
+    def sign_slip(alpha, b2, n, modulus=None):
+        # The last recurrence step adds b2 A_{n-2} instead of subtracting it,
+        # so the residual becomes 2 b2 A_{n-2}**2, which depends on the energy.
+        a_n, a_n1, a_n2 = real(alpha, b2, n, modulus)
+        return a_n + 2 * b2 * a_n2, a_n1, a_n2
+
+    monkeypatch.setattr(tridiag_core, "_exact_triple", sign_slip)
     p = WireParams(n=30, eps0=0.1, v=0.8, gamma=0.5)
     grid = np.linspace(-1.2, 1.3, 9)
     rep = equivalence_report(p, grid)

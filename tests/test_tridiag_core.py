@@ -287,6 +287,103 @@ def test_fingerprint_edge_inputs_match_exact_pass(alpha, beta):
     assert list(map(repr, one_pass)) == list(map(repr, _exact_reference(m, EXACT, 2)))
 
 
+# --- doubling kernel of single sizes --------------------------------------
+
+def _continuant_tail(alpha, b2, n, modulus=None):
+    """(A_n, A_{n-1}, A_{n-2}) from the one-step recurrence."""
+    *_, a_n2, a_n1, a_n = tridiag_core._exact_continuants(alpha, b2, n, modulus)
+    return a_n, a_n1, a_n2
+
+
+DOUBLING_SIZES = [2, 3] + [2 ** k + d for k in range(2, 11) for d in (-1, 0, 1)]
+kernel_ints = st.one_of(
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.sampled_from([0, P61, -P61, 3 * P61, P61 - 1, P61 + 1]),
+)
+
+
+@pytest.mark.parametrize("n", DOUBLING_SIZES)
+def test_doubling_kernel_matches_continuant_tail(n):
+    for alpha, b2 in ((3, 1), (-7, 12), (5, 0), (0, 4), (3 * P61, P61), (P61 + 2, 5 * P61),
+                      (10 ** 25, 10 ** 30), (Fraction(7, 3), Fraction(4, 25)),
+                      (Fraction(-1, P61), 0), (2, Fraction(9, 4))):
+        assert tridiag_core._exact_triple(alpha, b2, n) == _continuant_tail(alpha, b2, n)
+        if not isinstance(alpha, Fraction) and not isinstance(b2, Fraction):
+            got = tridiag_core._exact_triple(alpha, b2, n, P61)
+            assert got == _continuant_tail(alpha, b2, n, P61)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=300),
+       modulus=st.sampled_from([None, P61]))
+def test_doubling_kernel_matches_continuant_tail_property(data, n, modulus):
+    # Reduction mod p is a ring map on the integers only, so Fractions run exact.
+    scalars = kernel_ints if modulus else st.one_of(kernel_ints, st.fractions())
+    alpha, b2 = data.draw(scalars), data.draw(scalars)
+    got = tridiag_core._exact_triple(alpha, b2, n, modulus)
+    assert got == _continuant_tail(alpha, b2, n, modulus)
+
+
+class _CountingInt(int):
+    """An int that counts its multiplications and reductions.
+
+    ``pow`` counts the 2 * bit length of its exponent that square-and-multiply
+    takes.  Subtraction keeps the type and is not counted; any other
+    arithmetic raises TypeError, so a kernel that used it would fail the cost
+    test rather than go uncounted.
+    """
+
+    ops = 0
+
+    def _op(self, other, f, cost=1):
+        _CountingInt.ops += cost
+        return _CountingInt(f(int(self), int(other)))
+
+    def __mul__(self, other):
+        return self._op(other, lambda a, b: a * b)
+
+    def __rmul__(self, other):
+        return self._op(other, lambda a, b: b * a)
+
+    def __mod__(self, other):
+        return self._op(other, lambda a, b: a % b)
+
+    def __sub__(self, other):
+        return self._op(other, lambda a, b: a - b, cost=0)
+
+    def __rsub__(self, other):
+        return self._op(other, lambda a, b: b - a, cost=0)
+
+    def __pow__(self, exponent, modulus=None):
+        return self._op(exponent, lambda a, e: pow(a, e, modulus), cost=2 * exponent.bit_length())
+
+    def _refuse(self, *args):
+        raise TypeError("uncounted arithmetic")
+
+    __add__ = __radd__ = __neg__ = __floordiv__ = __truediv__ = __rmod__ = _refuse
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 226, 1000, 2 ** 20, 2 ** 20 + 1, 10 ** 6])
+def test_single_size_fingerprint_cost_is_logarithmic(n):
+    # The every-size pass takes about 7 per size (1578 at n = 226).  Doubling
+    # takes 8 per bit of n-1 and the power 2; the rest is constant.
+    a, b, _ = tridiag_core._over_common_denominator(0.3, 0.7)
+    _CountingInt.ops = 0
+    alpha, b2 = _CountingInt(a % P61), _CountingInt(b * b % P61)
+    (gap,) = tridiag_core._identity_gaps(alpha, b2, n, n, P61)
+    assert _CountingInt.ops <= 10 * (n - 1).bit_length() + 9
+    assert gap[1] % P61 == 0
+
+
+def test_identity_residual_of_a_million_sites(monkeypatch):
+    # The exact pass would multiply integers of about 5e7 bits here.
+    def refuse(*args):
+        raise AssertionError("the fingerprint missed and the exact pass ran")
+
+    monkeypatch.setattr(tridiag_core, "_exact_residuals", refuse)
+    assert repr(identity_residual(SymToeplitzTridiag(0.3, 0.7, 10 ** 6))) == "0.0"
+
+
 def _sign_flipped_continuants(alpha, b2, n, modulus=None):
     """The continuant loop with a mutation that keeps it homogeneous: + b2 for - b2.
 
@@ -302,6 +399,14 @@ def _sign_flipped_continuants(alpha, b2, n, modulus=None):
         yield prev
 
 
+_real_exact_triple = tridiag_core._exact_triple
+
+
+def _sign_flipped_triple(alpha, b2, n, modulus=None):
+    """The same mutation in the doubling kernel that single sizes run."""
+    return _real_exact_triple(alpha, -b2, n, modulus)
+
+
 @pytest.mark.parametrize("mode, alpha, beta", [
     (EXACT, 3, -2), (EXACT, Fraction(7, 3), Fraction(-2, 5)), (FLOAT, -0.37, 1.3),
     # A denominator divisible by p makes the scaled fingerprint vacuous.
@@ -309,6 +414,7 @@ def _sign_flipped_continuants(alpha, b2, n, modulus=None):
 ])
 def test_broken_recurrence_reaches_the_exact_pass(mode, alpha, beta, monkeypatch):
     monkeypatch.setattr(tridiag_core, "_exact_continuants", _sign_flipped_continuants)
+    monkeypatch.setattr(tridiag_core, "_exact_triple", _sign_flipped_triple)
     m = SymToeplitzTridiag(alpha, beta, 20)
     got = identity_residuals(m, mode)
     assert list(map(repr, got)) == list(map(repr, _exact_reference(m, mode, 2)))
