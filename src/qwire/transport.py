@@ -32,7 +32,7 @@ from .wire_matrix import (
     EnergyLike,
     HatDets,
     WireParams,
-    _continuants,
+    _continuant_kernel,
     corner_cofactor_wire,
     hat_dets,
 )
@@ -128,7 +128,8 @@ class EquivalenceReport:
     generic nonzero value shows the two route formulas differ termwise;
     ``bridge_residual_rel`` is the relative residual of the continuant
     identity that equates the gap to the squared corner cofactor: 0.0 where
-    the residual is zero mod 2**61 - 1, the exactly computed value otherwise.
+    the residual is zero mod 2**61 - 1, the exactly computed value otherwise
+    (the smallest subnormal where a nonzero value underflows).
     ``bridge_exact_fallbacks`` counts the energies whose residual was nonzero
     mod 2**61 - 1 and so took the exact big-integer pass; it is 0 for a
     correct recurrence.  The check and the exact pass reach Chat_n by index
@@ -171,11 +172,6 @@ def _gf_numerator(p: WireParams) -> float:
             "leaves the double range"
         )
     return num
-
-
-def _gf_quotient(num: float, re: EnergyLike, im: EnergyLike) -> EnergyLike:
-    """GF transmittance ``num / |det C|**2`` with ``num = _gf_numerator(p)``."""
-    return num / _det_sq(re, im)
 
 
 def _gf(p: WireParams, det_sq: EnergyLike) -> EnergyLike:
@@ -343,10 +339,6 @@ def chain_resonances(p: WireParams) -> np.ndarray:
     return p.eps0 + 2.0 * p.v * np.cos(m * np.pi / (p.n + 1))
 
 
-def _fermi(eps: float, mu: float, temperature: float) -> float:
-    return 0.5 - 0.5 * math.tanh(0.5 * (eps - mu) / temperature)
-
-
 def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     """Landauer current integral(f_L - f_R) * T(eps) deps, in units e = hbar = 1.
 
@@ -358,9 +350,11 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     limit is raised by their count.  Zero bias returns exactly 0.
 
     T(eps) is the GF transmittance, built once per call: the numerator
-    ``gamma**2 * cof**2`` and the corner constants are computed up front and
-    each quadrature evaluation runs only the continuant kernel, about
-    8*log2(n) float operations, and the GF quotient.  The values are
+    ``gamma**2 * cof**2``, the corner constants and the continuant kernel
+    (``_continuant_kernel``, with the bits of n-1) are built up front, so
+    each quadrature evaluation pays only for arithmetic: the kernel's about
+    8*log2(n) float operations, the corner split and the GF quotient,
+    written inline, and at T > 0 the two Fermi functions.  The values are
     bit-identical to ``transmittance_gf(p, eps)``.
 
     Raises
@@ -376,12 +370,18 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     hi = max(bias.mu_left, bias.mu_right)
     sign = 1.0 if bias.mu_left > bias.mu_right else -1.0
     num = _gf_numerator(p)
-    eps0, b2, n, g = p.eps0, p.v * p.v, p.n, p.gamma
+    eps0, g = p.eps0, p.gamma
     q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
+    kernel = _continuant_kernel(p.v * p.v, p.n)
 
     def t_gf(e: float) -> float:
-        c_n, c_n1, c_n2 = _continuants(eps0 - e, b2, n, 0.0, 1.0)
-        return _gf_quotient(num, c_n - q * c_n2, g * c_n1)
+        c_n, c_n1, c_n2 = kernel(eps0 - e, 0.0, 1.0)
+        re = c_n - q * c_n2
+        im = g * c_n1
+        det_sq = re * re + im * im
+        if det_sq == 0.0:
+            raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
+        return num / det_sq
 
     if bias.temperature > 0.0:
         pad = 40.0 * bias.temperature
@@ -390,7 +390,10 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
         mu_left, mu_right, temperature = bias.mu_left, bias.mu_right, bias.temperature
 
         def integrand(e: float) -> float:
-            occ = _fermi(e, mu_left, temperature) - _fermi(e, mu_right, temperature)
+            # f_L - f_R with f(e) = 0.5 - 0.5*tanh(0.5*(e - mu)/T), the Fermi function.
+            occ = (0.5 - 0.5 * math.tanh(0.5 * (e - mu_left) / temperature)) - (
+                0.5 - 0.5 * math.tanh(0.5 * (e - mu_right) / temperature)
+            )
             return occ * t_gf(e)
     else:
         integrand = t_gf

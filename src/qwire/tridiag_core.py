@@ -157,7 +157,7 @@ def _exact_continuants(alpha, b2, n: int, modulus: int | None = None):
 def _exact_triple(alpha, b2, n: int, modulus: int | None = None) -> tuple:
     """(A_n, A_{n-1}, A_{n-2}) for n >= 2, in exact arithmetic or reduced mod ``modulus``.
 
-    Index doubling, as ``wire_matrix._continuants``: the addition formula
+    Index doubling, as ``wire_matrix._continuant_kernel``: the addition formula
     ``A_{j+k} = A_j A_k - b2 A_{j-1} A_{k-1}`` takes the pair (A_k, A_{k-1})
     to (A_{2k}, A_{2k-1}) or (A_{2k+1}, A_{2k}).  Starting from (A_1, A_0),
     one step per bit of n-1 below its top bit reaches (A_{n-1}, A_{n-2}), and
@@ -305,7 +305,12 @@ def _over_common_denominator(alpha, beta) -> tuple:
 
 
 def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
-    """Identity residuals at sizes n = n_min, ..., n_max >= 2 from one exact continuant pass."""
+    """Identity residuals at sizes n = n_min, ..., n_max >= 2 from one exact continuant pass.
+
+    In float mode a nonzero residual whose quotient by beta**(2n-2) rounds
+    to 0.0 is reported as the smallest subnormal with the residual's sign,
+    so 0.0 always means an exactly zero residual.
+    """
     if mode == FLOAT:
         # Scale both doubles to integers over a common power-of-two denominator;
         # the identity is homogeneous of degree 2n-2, so the scale cancels.
@@ -317,7 +322,10 @@ def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
         elif power == 0:
             out.append(0.0 if residual == 0 else math.inf)
         else:
-            out.append(residual / power)  # int true division rounds correctly
+            rel = residual / power  # int true division rounds correctly
+            if rel == 0.0 and residual:
+                rel = math.ulp(0.0) if residual > 0 else -math.ulp(0.0)
+            out.append(rel)
     return out
 
 
@@ -357,7 +365,9 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
     beta**(2n-2); because doubles are dyadic rationals the difference is
     evaluated in scaled integer arithmetic, which avoids the catastrophic
     cancellation a naive double-precision evaluation would suffer when the
-    sequence entries dwarf beta**(2n-2).
+    sequence entries dwarf beta**(2n-2).  A nonzero residual whose quotient
+    underflows is returned as the smallest subnormal, ``math.ulp(0.0)``,
+    with the residual's sign, so 0.0 always means zero.
 
     The residual is first evaluated modulo the prime 2**61 - 1.  A zero
     result means the residual is zero mod 2**61 - 1 (and is returned as 0,

@@ -134,12 +134,13 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     ``-v`` (the sign of the off-diagonal is irrelevant: only its square
     enters the recurrence).  Accepts a scalar or an array of energies.
 
-    Both kinds of input run one kernel, ``_continuants``, which reaches
-    index n by doubling in about 8*log2(n) operations.  A scalar (0-d)
-    energy runs it on Python floats, which avoids numpy's per-operation
-    dispatch when one energy is evaluated at a time.  Floats and arrays go
-    through the same operations in the same order, so a scalar result is
-    bit-identical to the corresponding element of an array result.
+    Both kinds of input run one kernel from ``_continuant_kernel``, built
+    once per call, which reaches index n by doubling in about 8*log2(n)
+    operations.  A scalar (0-d) energy runs it on Python floats, which
+    avoids numpy's per-operation dispatch when one energy is evaluated at a
+    time.  Floats and arrays go through the same operations in the same
+    order, so a scalar result is bit-identical to the corresponding element
+    of an array result.
     """
     if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
         eps = float(eps)
@@ -151,32 +152,42 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
         zero, one = np.zeros_like(eps), np.ones_like(eps)
     if not finite:
         raise ValueError("probe energy must be finite")
-    return HatDets(*_continuants(p.eps0 - eps, p.v * p.v, p.n, zero, one))
+    return HatDets(*_continuant_kernel(p.v * p.v, p.n)(p.eps0 - eps, zero, one))
 
 
-def _continuants(alpha, b2, n, zero, one):
-    """(Chat_n, Chat_{n-1}, Chat_{n-2}) of ``Chat_k = alpha*Chat_{k-1} - b2*Chat_{k-2}``.
+def _continuant_kernel(b2, n):
+    """The continuant kernel of a wire with hopping squared ``b2`` and n >= 1 sites.
 
-    Chat_{-1} = ``zero`` and Chat_0 = ``one``; n >= 1.  Index doubling: the
-    constant coefficients give the addition formula
-    ``C_{j+k} = C_j C_k - b2 C_{j-1} C_{k-1}``, so the pair (C_k, C_{k-1})
-    goes to (C_{2k}, C_{2k-1}) or (C_{2k+1}, C_{2k}) in eight operations.  Starting
-    from (C_1, C_0), one such step per bit of n-1 below its top bit reaches
-    (C_{n-1}, C_{n-2}), and a last recurrence step gives C_n: about
-    8*log2(n) operations in place of 3n.  Floats and arrays run the same
+    ``kernel(alpha, zero, one)`` returns (Chat_n, Chat_{n-1}, Chat_{n-2}) of
+    ``Chat_k = alpha*Chat_{k-1} - b2*Chat_{k-2}`` with Chat_{-1} = ``zero``
+    and Chat_0 = ``one``.  Index doubling: the constant coefficients give the
+    addition formula ``C_{j+k} = C_j C_k - b2 C_{j-1} C_{k-1}``, so the pair
+    (C_k, C_{k-1}) goes to (C_{2k}, C_{2k-1}) or (C_{2k+1}, C_{2k}) in eight
+    operations.  Starting from (C_1, C_0), one such step per bit of n-1 below
+    its top bit reaches (C_{n-1}, C_{n-2}), and a last recurrence step gives
+    C_n: about 8*log2(n) operations in place of 3n.  Floats and arrays run the same
     operations in the same order, so their results agree bit for bit.
+
+    The bits of n-1 and ``2*b2`` depend only on the wire, so they are taken
+    here, once; a caller that evaluates many energies of one wire builds the
+    kernel once and pays only for the arithmetic at each energy.
     """
-    c, d = one, zero  # (C_k, C_{k-1}) at k = 0
-    if n > 1:
-        b2x2 = 2 * b2
-        c, d = alpha * one, one  # k = 1
-        for bit in bin(n - 1)[3:]:
-            c2k = c * c - b2 * (d * d)
-            if bit == "0":
-                c, d = c2k, d * (2 * c - alpha * d)
-            else:
-                c, d = c * (alpha * c - b2x2 * d), c2k
-    return alpha * c - b2 * d, c, d
+    odd_bits = tuple(bit == "1" for bit in bin(n - 1)[3:])
+    b2x2 = 2 * b2
+
+    def kernel(alpha, zero, one):
+        c, d = one, zero  # (C_k, C_{k-1}) at k = 0
+        if n > 1:
+            c, d = alpha * one, one  # k = 1
+            for odd in odd_bits:
+                c2k = c * c - b2 * (d * d)
+                if odd:
+                    c, d = c * (alpha * c - b2x2 * d), c2k
+                else:
+                    c, d = c2k, d * (2 * c - alpha * d)
+        return alpha * c - b2 * d, c, d
+
+    return kernel
 
 
 def det_wire(p: WireParams, eps: EnergyLike) -> Union[complex, np.ndarray]:

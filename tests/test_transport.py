@@ -386,6 +386,25 @@ def test_broken_recurrence_makes_bridge_report_exact_residual(monkeypatch):
     assert rep.bridge_exact_fallbacks == grid.size
 
 
+def test_underflowing_bridge_residual_is_not_reported_as_zero(monkeypatch):
+    # With A_n + 1 the residual is A_{n-2}, nonzero but about 2**-1600 times
+    # beta**(2n-2) at n = 30: its quotient rounds to 0.0, which must still
+    # read as nonzero.
+    real = tridiag_core._exact_triple
+
+    def plus_one(alpha, b2, n, modulus=None):
+        a_n, a_n1, a_n2 = real(alpha, b2, n, modulus)
+        return a_n + 1, a_n1, a_n2
+
+    monkeypatch.setattr(tridiag_core, "_exact_triple", plus_one)
+    p = WireParams(n=30, eps0=0.1, v=0.8, gamma=0.5)
+    rep = equivalence_report(p, np.linspace(-1.2, 1.3, 9))
+    assert rep.bridge_exact_fallbacks == 9
+    assert np.all(rep.bridge_residual_rel == math.ulp(0.0))
+    residual = identity_residual(SymToeplitzTridiag(0.3, 0.7, 30), "float")
+    assert abs(residual) == math.ulp(0.0)
+
+
 def test_hat_dets_evaluated_once_per_call(monkeypatch):
     calls = []
 
@@ -670,6 +689,23 @@ def test_current_bit_identical_to_plain_quad_above_subinterval_limit(monkeypatch
         res = landauer_current(p, bias)
         value, abserr = _plain_current(p, bias)
         assert (res.value.hex(), res.error_estimate.hex()) == (value.hex(), abserr.hex())
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.03])
+def test_current_builds_continuant_kernel_once_per_call(monkeypatch, temperature):
+    builds, evaluations = [], []
+    real = transport._continuant_kernel
+
+    def counting(b2, n):
+        builds.append(n)
+        kernel = real(b2, n)
+        return lambda *args: evaluations.append(args) or kernel(*args)
+
+    monkeypatch.setattr(transport, "_continuant_kernel", counting)
+    p = WireParams(n=40, eps0=0.13, v=-0.7, gamma=1.3)
+    landauer_current(p, BiasWindow(1.0, -0.5, temperature))
+    assert builds == [40]
+    assert len(evaluations) > 100
 
 
 def test_bias_window_validation():

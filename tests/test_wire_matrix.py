@@ -21,7 +21,7 @@ from qwire import (
     first_inverse_column,
     hat_dets,
 )
-from qwire.wire_matrix import _continuants
+from qwire.wire_matrix import _continuant_kernel
 
 from oracles import dense_corner_cofactor, dense_det, dense_wire_matrix
 
@@ -156,13 +156,13 @@ def test_continuant_kernel_matches_plain_doubling_loop(n, eps0, v, offsets):
     alpha = eps0 - (eps0 + 4.0 * abs(v) * np.array(offsets))
     b2 = v * v
     with np.errstate(all="ignore"):
-        got = _continuants(alpha, b2, n, np.zeros_like(alpha), np.ones_like(alpha))
+        got = _continuant_kernel(b2, n)(alpha, np.zeros_like(alpha), np.ones_like(alpha))
         want = _plain_doubling_continuants(
             alpha, b2, n, np.zeros_like(alpha), np.ones_like(alpha)
         )
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     for a in alpha.tolist():
-        got = _continuants(a, b2, n, 0.0, 1.0)
+        got = _continuant_kernel(b2, n)(a, 0.0, 1.0)
         want = _plain_doubling_continuants(a, b2, n, 0.0, 1.0)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -170,7 +170,7 @@ def test_continuant_kernel_matches_plain_doubling_loop(n, eps0, v, offsets):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_continuant_kernel_keeps_one_step_bits_up_to_three_sites(n):
     alpha = np.linspace(-5.0, 5.0, 101)
-    got = _continuants(alpha, 0.49, n, np.zeros_like(alpha), np.ones_like(alpha))
+    got = _continuant_kernel(0.49, n)(alpha, np.zeros_like(alpha), np.ones_like(alpha))
     want = _one_step_continuants(alpha, 0.49, n, np.zeros_like(alpha), np.ones_like(alpha))
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
@@ -264,11 +264,29 @@ class _CountingFloat:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 226, 1000, 2 ** 20, 2 ** 20 + 1, 10 ** 6])
 def test_continuant_kernel_cost_is_logarithmic(n):
     # A linear loop would take 3n operations; doubling takes 8 per bit of n-1.
+    # The bound covers building the kernel and one evaluation.
     _CountingFloat.ops = 0
-    got = _continuants(_CountingFloat(0.3), _CountingFloat(1.0), n,
-                       _CountingFloat(0.0), _CountingFloat(1.0))
+    got = _continuant_kernel(_CountingFloat(1.0), n)(
+        _CountingFloat(0.3), _CountingFloat(0.0), _CountingFloat(1.0))
     assert _CountingFloat.ops <= 8 * (n - 1).bit_length() + 4
-    assert [c.x for c in got] == list(_continuants(0.3, 1.0, n, 0.0, 1.0))
+    assert [c.x for c in got] == list(_continuant_kernel(1.0, n)(0.3, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 226, 2 ** 20 + 1])
+def test_continuant_kernel_built_once_matches_hat_dets_per_energy(n):
+    # One kernel reused over many energies, scalar and array, gives the bits
+    # of a fresh hat_dets call at each energy.
+    p = WireParams(n=n, eps0=0.2, v=-0.7, gamma=0.4)
+    energies = np.linspace(-1.6, 1.7, 23)
+    kernel = _continuant_kernel(p.v * p.v, p.n)
+    for e in energies.tolist():
+        got = kernel(p.eps0 - e, 0.0, 1.0)
+        assert [x.hex() for x in got] == [float(x).hex() for x in hat_dets(p, e)]
+    for grid in (energies, energies[::-2], energies[:1]):
+        with np.errstate(all="ignore"):
+            got = kernel(p.eps0 - grid, np.zeros_like(grid), np.ones_like(grid))
+            want = hat_dets(p, grid)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_hat_dets_reject_non_finite_energy():
