@@ -10,13 +10,15 @@ while the evolution-operator route evaluates
              * (cof**2 + Chat_{n-1}**2 - Chat_{n-2} * Chat_n).
 
 Both read one ``HatDets`` and divide by one ``|det C|**2``, which each public
-function evaluates once and shares between the routes.  They
-agree because the continuant identity turns
+function evaluates once and shares between the routes.  ``spectrum`` walks
+its grid in blocks of ``_BLOCK`` energies, so the temporaries of both routes
+stay block-sized while only the grid and the outputs span the whole grid.
+They agree because the continuant identity turns
 ``Chat_{n-1}**2 - Chat_{n-2}*Chat_n`` into ``v**(2n-2) = cof**2``; the
-equivalence report verifies that bridge (modulo 2**61 - 1, exactly where that
-check is nonzero; both reach the continuants by index doubling, O(log n) per
-energy) and shows the combination is generically nonzero, i.e. the identity
-is doing real work.
+equivalence report verifies that bridge in one fingerprint pass per call
+(modulo 2**61 - 1, exactly where that check is nonzero; both reach the
+continuants by index doubling, O(log n) per energy) and shows the combination
+is generically nonzero, i.e. the identity is doing real work.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ _T_UPPER = 1.0 + 1e-9
 _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-10
 _QUAD_LIMIT = 200
+# Energies per block of ``spectrum``.  A temporary of 4096 doubles (32 KB)
+# stays below glibc's mmap threshold (128 KB), so the allocator reuses its
+# pages from block to block instead of faulting fresh ones in; a block's
+# dozen live temporaries take about 400 KB.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,9 @@ class EquivalenceReport:
     ``bridge_exact_fallbacks`` counts the energies whose residual was nonzero
     mod 2**61 - 1 and so took the exact big-integer pass; it is 0 for a
     correct recurrence.  The check and the exact pass reach Chat_n by index
-    doubling, in O(log n) operations per energy.
+    doubling, in O(log n) operations per energy.  The check of all energies
+    is one pass over one common denominator; its flags and values equal
+    those of per-energy ``identity_residual`` calls.
     """
 
     energies: np.ndarray
@@ -222,30 +231,60 @@ def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
 
 
 def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
+    """The three averaged terms, each built in one temporary of its own.
+
+    With pref = 2*pi*v_lead**2, q = gamma**2/4 and d = |det C|**2::
+
+        term_u1 = pref * (Chat_{n-1}**2 + q*Chat_{n-2}**2) / d
+        term_uN = pref * cof**2 / d
+        term_im = gamma**2/2 * (2*Chat_{n-1}**2 - Chat_{n-2}*Chat_n + q*Chat_{n-2}**2) / d
+
+    Each keeps the left-to-right grouping written here (a rounded product or
+    sum does not depend on operand order), so the augmented assignments
+    change where a value lands, not its bits.
+    """
     g = p.gamma
     pref = 2.0 * math.pi * p.v_lead ** 2
     cof = corner_cofactor_wire(p)
-    term_u1 = pref * (h.c_n1 * h.c_n1 + 0.25 * g * g * h.c_n2 * h.c_n2) / det_sq
+    # 0.25*g*g*Chat_{n-2}**2, shared by term_u1 and term_im.
+    corner = 0.25 * g * g * h.c_n2
+    corner *= h.c_n2
+    term_u1 = h.c_n1 * h.c_n1
+    term_u1 += corner
+    term_u1 *= pref
+    term_u1 /= det_sq
     term_uN = pref * cof * cof / det_sq
-    term_im = (
-        0.5 * g * g
-        * (2.0 * h.c_n1 * h.c_n1 - h.c_n2 * h.c_n + 0.25 * g * g * h.c_n2 * h.c_n2)
-        / det_sq
-    )
+    term_im = 2.0 * h.c_n1
+    term_im *= h.c_n1
+    term_im -= h.c_n2 * h.c_n
+    term_im += corner
+    term_im *= 0.5 * g * g
+    term_im /= det_sq
     return EOTerms(term_u1=term_u1, term_uN=term_uN, term_im=term_im)
 
 
 def _eo(p: WireParams, h: HatDets, det_sq: EnergyLike) -> tuple[EnergyLike, EnergyLike]:
-    """EO transmittance and the hat gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n."""
+    """EO transmittance and the hat gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n.
+
+    The recombination check reuses the temporaries of ``_eo_terms``, which
+    this call owns, by augmented assignment in the order of the closed form.
+    """
     cof = corner_cofactor_wire(p)
-    gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
-    t = 0.5 * p.gamma ** 2 * (cof * cof + gap) / det_sq
+    gap = h.c_n1 * h.c_n1
+    gap -= h.c_n2 * h.c_n
+    t = cof * cof + gap
+    t *= 0.5 * p.gamma ** 2
+    t /= det_sq
     terms = _eo_terms(p, h, det_sq)
-    recombined = (
-        0.5 * p.gamma / p.bandwidth * (terms.term_uN - terms.term_u1) + terms.term_im
-    )
-    tol = _RECOMBINE_RTOL * np.maximum(np.abs(t), np.abs(recombined)) + _RECOMBINE_ATOL
-    if not np.all(np.abs(recombined - t) <= tol):
+    recombined = terms.term_uN
+    recombined -= terms.term_u1
+    recombined *= 0.5 * p.gamma / p.bandwidth
+    recombined += terms.term_im
+    tol = np.maximum(np.abs(t), np.abs(recombined))
+    tol *= _RECOMBINE_RTOL
+    tol += _RECOMBINE_ATOL
+    recombined -= t
+    if not np.all(np.abs(recombined) <= tol):
         raise NumericalError("averaged-term recombination disagrees with the closed form")
     return t, gap
 
@@ -271,6 +310,13 @@ def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
 def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport:
     """Compare the two routes on a grid and verify the identity bridge.
 
+    Both routes run on the whole grid at once.  The bridge takes one
+    fingerprint pass for the call (``tridiag_core._residuals``): the
+    energies and ``-v`` share one power-of-two denominator, and ``beta**2``
+    and ``beta**(2n-2)`` modulo 2**61 - 1 are taken once, so each energy
+    pays only for its continuants by index doubling.  An energy whose
+    residual is nonzero modulo 2**61 - 1 takes the exact pass, on its own.
+
     Raises
     ------
     PreconditionError
@@ -285,7 +331,7 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
         t_eo, gap = _eo(p, h, det_sq)
     diff = np.abs(t_gf - t_eo)
     if p.n > 1:
-        passes = [_residuals(p.eps0 - e, -p.v, FLOAT, p.n, p.n) for e in grid]
+        passes = _residuals((p.eps0 - grid).tolist(), -p.v, FLOAT, p.n, p.n)
     else:
         passes = [([0.0], False)] * grid.size
     bridge = np.array([abs(values[0]) for values, _ in passes])
@@ -311,6 +357,13 @@ def spectrum(
 ) -> TransmissionSpectrum:
     """Transmittance on a uniform inclusive grid, by one or both routes.
 
+    The routes run over the grid in blocks of ``_BLOCK`` energies, in grid
+    order, and write into outputs allocated once; every temporary is
+    block-sized.  Each value is elementwise, so every sample has the bits of
+    ``transmittance_gf(p, grid)`` and ``transmittance_eo(p, grid)``, and the
+    first failing block raises the error the whole grid would.
+    ``TransmissionSpectrum`` then validates the whole result.
+
     Raises
     ------
     ValueError
@@ -323,11 +376,20 @@ def spectrum(
     if method not in ("gf", "eo", "both"):
         raise ValueError(f"method must be gf, eo or both, got {method!r}")
     grid = np.linspace(e_min, e_max, points)
-    # Non-finite values raise in _eo or in TransmissionSpectrum.
+    t_gf = np.empty(points) if method in ("gf", "both") else None
+    t_eo = np.empty(points) if method in ("eo", "both") else None
+    # Non-finite values raise in _eo or in TransmissionSpectrum.  The numerator
+    # and cofactor errors do not depend on the energy, so they come from the
+    # first block; a grid that overflows linspace is nan from index 0 on, so
+    # hat_dets rejects it there first.
     with np.errstate(all="ignore"):
-        h, det_sq = _dets(p, grid)
-        t_gf = _gf(p, det_sq) if method in ("gf", "both") else None
-        t_eo = _eo(p, h, det_sq)[0] if method in ("eo", "both") else None
+        for start in range(0, points, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            h, det_sq = _dets(p, grid[block])
+            if t_gf is not None:
+                t_gf[block] = _gf(p, det_sq)
+            if t_eo is not None:
+                t_eo[block] = _eo(p, h, det_sq)[0]
     return TransmissionSpectrum(
         energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo
     )

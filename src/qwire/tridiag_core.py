@@ -18,7 +18,10 @@ computed exactly only when that check is nonzero: a reported zero means
 "zero mod 2**61 - 1", a nonzero value is exact.  The residual at one size n
 reaches A_n by index doubling, in O(log n) operations for the check and the
 exact pass alike; the residuals at every size 2, ..., n come from one pass of
-the recurrence.
+the recurrence.  Residuals of many diagonals ``alpha`` with one ``beta`` (the
+bridge of ``transport.equivalence_report``, one alpha per energy) share one
+fingerprint pass: one common denominator, and ``beta**2`` and the power of
+``beta`` reduced once.
 """
 
 from __future__ import annotations
@@ -271,20 +274,29 @@ def _identity_inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
     return m.alpha, m.beta
 
 
-def _identity_gaps(alpha, b2, n_max: int, n_min: int, modulus: int | None = None):
-    """Yield (beta**(2n-2), beta**(2n-2) - (A_{n-1}**2 - A_{n-2} A_n)) for n = n_min, ..., n_max.
+def _identity_gaps(alphas, b2, n_max: int, n_min: int, modulus: int | None = None):
+    """Yield, per alpha, the pairs (beta**(2n-2), beta**(2n-2) - (A_{n-1}**2 - A_{n-2} A_n)).
 
-    ``b2`` is beta**2 and ``n_min`` is 2 or ``n_max``.  A single size takes
-    ``_exact_triple``, O(log n) operations; every size from 2 takes one
-    ``_exact_continuants`` pass.  With ``modulus`` both values are only
-    congruent to the exact ones (the continuants and the power are reduced,
-    the difference is not).
+    The pairs run over n = n_min, ..., n_max; ``b2`` is beta**2, shared by
+    every alpha, and ``n_min`` is 2 or ``n_max``.  A single size takes the
+    power once for all alphas and ``_exact_triple`` per alpha, O(log n)
+    operations each; every size from 2 takes one ``_exact_continuants`` pass
+    per alpha, streamed.  With ``modulus`` both values are only congruent to
+    the exact ones (the continuants and the power are reduced, the
+    difference is not).
     """
     if n_min == n_max:
-        a_n, a_n1, a_n2 = _exact_triple(alpha, b2, n_max, modulus)
         power = pow(b2, n_max - 1, modulus)
-        yield power, power - (a_n1 * a_n1 - a_n2 * a_n)
+        for alpha in alphas:
+            a_n, a_n1, a_n2 = _exact_triple(alpha, b2, n_max, modulus)
+            yield [(power, power - (a_n1 * a_n1 - a_n2 * a_n))]
         return
+    for alpha in alphas:
+        yield _every_size_gaps(alpha, b2, n_max, modulus)
+
+
+def _every_size_gaps(alpha, b2, n_max: int, modulus: int | None):
+    """The pairs of ``_identity_gaps`` for n = 2, ..., n_max, from one recurrence pass."""
     continuants = _exact_continuants(alpha, b2, n_max, modulus)
     a_n2, a_n1 = next(continuants), next(continuants)
     power = 1
@@ -296,12 +308,12 @@ def _identity_gaps(alpha, b2, n_max: int, n_min: int, modulus: int | None = None
         a_n2, a_n1 = a_n1, a_n
 
 
-def _over_common_denominator(alpha, beta) -> tuple:
-    """Integers (alpha * den, beta * den) and den, for the least common denominator den."""
-    na, da = alpha.as_integer_ratio()
+def _over_common_denominator(alphas, beta) -> tuple:
+    """Integers [alpha * den for each alpha], beta * den and den, for the least common denominator."""
+    ratios = [alpha.as_integer_ratio() for alpha in alphas]
     nb, db = beta.as_integer_ratio()
-    den = math.lcm(da, db)
-    return na * (den // da), nb * (den // db), den
+    den = math.lcm(db, *(d for _, d in ratios))
+    return [na * (den // da) for na, da in ratios], nb * (den // db), den
 
 
 def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
@@ -314,9 +326,10 @@ def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
     if mode == FLOAT:
         # Scale both doubles to integers over a common power-of-two denominator;
         # the identity is homogeneous of degree 2n-2, so the scale cancels.
-        alpha, beta, _ = _over_common_denominator(alpha, beta)
+        (alpha,), beta, _ = _over_common_denominator([alpha], beta)
+    (gaps,) = _identity_gaps([alpha], beta * beta, n_max, n_min)
     out = []
-    for power, residual in _identity_gaps(alpha, beta * beta, n_max, n_min):
+    for power, residual in gaps:
         if mode == EXACT:
             out.append(residual)
         elif power == 0:
@@ -329,32 +342,47 @@ def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
     return out
 
 
-def _residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> tuple[list, bool]:
-    """Identity residuals at sizes n = n_min, ..., n_max >= 2, and whether the exact pass ran.
+def _residuals(alphas, beta, mode: str, n_max: int, n_min: int) -> list[tuple[list, bool]]:
+    """Identity residuals at sizes n = n_min, ..., n_max >= 2 for each alpha of ``alphas``.
 
-    ``n_min`` is 2 (every size, one recurrence pass) or ``n_max`` (one size,
-    by index doubling); the check and the exact pass run the same kernel.
-    The residuals of the scaled integers are first checked modulo
-    ``_FINGERPRINT_PRIME``.  When all vanish there, the zeros the exact pass
-    gives for a correct recurrence are returned (0.0 in float mode, 0 or
-    Fraction(0) in exact mode); otherwise ``_exact_residuals`` computes the
-    true values.  A common denominator divisible by the prime leaves the
-    check vacuous, so it goes straight to the exact pass.
+    Returns one (residuals, exact) pair per alpha; ``exact`` tells whether
+    the exact pass ran.  ``n_min`` is 2 (every size, one recurrence pass) or
+    ``n_max`` (one size, by index doubling); the check and the exact pass
+    run the same kernel.
+
+    One fingerprint pass serves every alpha.  All alphas and ``beta`` are
+    scaled to integers over one common denominator, and beta**2 (and, for
+    one size, beta**(2n-2)) is reduced modulo ``_FINGERPRINT_PRIME`` once.
+    The identity is homogeneous of degree 2n-2, so the common denominator
+    scales an alpha's residual by a power of a divisor of itself, which is
+    prime to the modulus whenever the denominator is: whether a residual
+    vanishes does not depend on the batch.  Where all of an alpha's
+    residuals vanish modulo the prime, the zeros the exact pass gives for a
+    correct recurrence are returned (0.0 in float mode, 0 or Fraction(0) in
+    exact mode); otherwise ``_exact_residuals`` computes that alpha's true
+    values on its own.  A common denominator divisible by the prime leaves
+    the check vacuous, so every alpha then takes the exact pass.
     """
     if mode == FLOAT:
-        alpha, beta = _as_float(alpha, "alpha"), _as_float(beta, "beta")
-        zero = 0.0
-    elif isinstance(alpha, Fraction) or isinstance(beta, Fraction):
-        zero = Fraction(0)
-    else:
-        zero = 0
-    a, b, den = _over_common_denominator(alpha, beta)
+        alphas = [_as_float(alpha, "alpha") for alpha in alphas]
+        beta = _as_float(beta, "beta")
+    nums, b, den = _over_common_denominator(alphas, beta)
     p = _FINGERPRINT_PRIME
-    if den % p and not any(
-        residual % p for _, residual in _identity_gaps(a % p, b * b % p, n_max, n_min, p)
-    ):
-        return [zero] * (n_max - n_min + 1), False
-    return _exact_residuals(alpha, beta, mode, n_max, n_min), True
+    size = n_max - n_min + 1
+    gaps = _identity_gaps([a % p for a in nums], b * b % p, n_max, n_min, p)
+    out = []
+    for alpha, residuals in zip(alphas, gaps):
+        if den % p and not any(residual % p for _, residual in residuals):
+            if mode == FLOAT:
+                zero = 0.0
+            elif isinstance(alpha, Fraction) or isinstance(beta, Fraction):
+                zero = Fraction(0)
+            else:
+                zero = 0
+            out.append(([zero] * size, False))
+        else:
+            out.append((_exact_residuals(alpha, beta, mode, n_max, n_min), True))
+    return out
 
 
 def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
@@ -383,7 +411,9 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
         Exact mode with inputs that are not integers or Fractions, or float
         mode with an input beyond the double range.
     """
-    return _residuals(*_identity_inputs(m, mode), mode, m.n, m.n)[0][0]
+    alpha, beta = _identity_inputs(m, mode)
+    [(values, _)] = _residuals([alpha], beta, mode, m.n, m.n)
+    return values[0]
 
 
 def identity_residuals(m: SymToeplitzTridiag, mode: str = FLOAT) -> list:
@@ -392,4 +422,6 @@ def identity_residuals(m: SymToeplitzTridiag, mode: str = FLOAT) -> list:
     Zero mod 2**61 - 1 at every size gives zeros; otherwise every value is
     exact.  Raises DomainError when m.n < 2, ModeError as ``identity_residual``.
     """
-    return _residuals(*_identity_inputs(m, mode), mode, m.n, 2)[0]
+    alpha, beta = _identity_inputs(m, mode)
+    [(values, _)] = _residuals([alpha], beta, mode, m.n, 2)
+    return values

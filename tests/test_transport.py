@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -533,6 +534,96 @@ def test_spectrum_type_rejects_nonfinite_samples():
                 energies=np.array([0.0, 1.0]), params=p, method="gf",
                 t_gf=np.array([0.5, bad]),
             )
+
+
+BLOCK = transport._BLOCK
+BLOCK_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]
+
+
+def _outcome(call):
+    """The result of ``call``, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("points", BLOCK_SIZES)
+def test_blocked_spectrum_bit_identical_to_whole_grid_routes(points, monkeypatch):
+    # The public routes run the whole grid at once; spectrum runs it in
+    # blocks of BLOCK energies, and every byte must agree.
+    p = WireParams(n=40, eps0=0.1, v=0.9, gamma=0.6)
+    grid = np.linspace(-1.6, 1.9, points)
+    t_gf, t_eo = transmittance_gf(p, grid), transmittance_eo(p, grid)
+    calls = []
+
+    def counting(p, eps):
+        calls.append(len(eps))
+        return hat_dets(p, eps)
+
+    monkeypatch.setattr(transport, "hat_dets", counting)
+    for method in ("gf", "eo", "both"):
+        calls.clear()
+        spec = spectrum(p, -1.6, 1.9, points, method)
+        assert calls == [min(BLOCK, points - start) for start in range(0, points, BLOCK)]
+        assert spec.energies.tobytes() == grid.tobytes()
+        if method != "eo":
+            assert spec.t_gf.tobytes() == t_gf.tobytes()
+        if method != "gf":
+            assert spec.t_eo.tobytes() == t_eo.tobytes()
+
+
+def test_blocked_spectrum_raises_recombination_error_of_last_block():
+    # At n = 700 the EO check fails above eps = 2.262 (the squared
+    # continuants overflow).  Only the last of the three blocks reaches there.
+    p = WireParams(n=700, eps0=0.0, v=1.0, gamma=0.5)
+    points = 2 * BLOCK + 100
+    grid = np.linspace(-2.0, 2.3, points)
+    transmittance_eo(p, grid[:2 * BLOCK])
+    whole = _outcome(lambda: transmittance_eo(p, grid))
+    assert whole == (NumericalError, "averaged-term recombination disagrees with the closed form")
+    for method in ("eo", "both"):
+        assert _outcome(lambda: spectrum(p, -2.0, 2.3, points, method)) == whole
+    spec = spectrum(p, -2.0, 2.3, points, "gf")
+    assert spec.t_gf.tobytes() == transmittance_gf(p, grid).tobytes()
+
+
+@pytest.mark.parametrize("points", BLOCK_SIZES)
+def test_blocked_spectrum_keeps_error_order(points):
+    # 1000 sites with v = 1.5: the GF numerator overflows.  A grid whose
+    # width overflows is rejected by hat_dets before that; with method "eo"
+    # the numerator is never formed, and spectrum fails or succeeds as the
+    # whole-grid EO route does.
+    p = WireParams(n=1000, eps0=0.0, v=1.5, gamma=0.5)
+    for method in ("gf", "eo", "both"):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="probe energy"):
+            spectrum(p, -1e308, 1e308, points, method)
+    with pytest.raises(NumericalError, match="GF numerator"):
+        spectrum(p, -1.0, 1.0, points, "both")
+    grid = np.linspace(-1.0, 1.0, points)
+    whole = _outcome(lambda: transmittance_eo(p, grid))
+    got = _outcome(lambda: spectrum(p, -1.0, 1.0, points, "eo"))
+    if isinstance(whole, tuple):
+        assert got == whole
+    else:
+        assert got.t_eo.tobytes() == whole.tobytes()
+
+
+def test_spectrum_temporaries_stay_block_sized():
+    # The grid and two outputs span the whole grid; every temporary is
+    # block-sized.  About 13 blocks are live at the peak; a whole-grid pass
+    # holds about 15 grids.
+    p = WireParams(n=300, eps0=0.1, v=1.0, gamma=0.5)
+    points = 30000
+    spectrum(p, -1.9, 2.0, points, "both")  # warm up
+    tracemalloc.start()
+    try:
+        spectrum(p, -1.9, 2.0, points, "both")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_bytes, block_bytes = 8 * points, 8 * BLOCK
+    assert peak < 3 * grid_bytes + 16 * block_bytes
 
 
 # --- Landauer current -------------------------------------------------------------

@@ -334,6 +334,7 @@ class _CountingInt(int):
     """
 
     ops = 0
+    pows = 0
 
     def _op(self, other, f, cost=1):
         _CountingInt.ops += cost
@@ -355,6 +356,7 @@ class _CountingInt(int):
         return self._op(other, lambda a, b: b - a, cost=0)
 
     def __pow__(self, exponent, modulus=None):
+        _CountingInt.pows += 1
         return self._op(exponent, lambda a, e: pow(a, e, modulus), cost=2 * exponent.bit_length())
 
     def _refuse(self, *args):
@@ -366,13 +368,19 @@ class _CountingInt(int):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 226, 1000, 2 ** 20, 2 ** 20 + 1, 10 ** 6])
 def test_single_size_fingerprint_cost_is_logarithmic(n):
     # The every-size pass takes about 7 per size (1578 at n = 226).  Doubling
-    # takes 8 per bit of n-1 and the power 2; the rest is constant.
-    a, b, _ = tridiag_core._over_common_denominator(0.3, 0.7)
-    _CountingInt.ops = 0
-    alpha, b2 = _CountingInt(a % P61), _CountingInt(b * b % P61)
-    (gap,) = tridiag_core._identity_gaps(alpha, b2, n, n, P61)
-    assert _CountingInt.ops <= 10 * (n - 1).bit_length() + 9
-    assert gap[1] % P61 == 0
+    # takes 8 per bit of n-1 per alpha; the power takes 2 per bit, once for a
+    # batch of k alphas; the rest is constant.
+    bits = (n - 1).bit_length()
+    for k in (1, 24):
+        nums, b, _ = tridiag_core._over_common_denominator([0.3 + 0.01 * j for j in range(k)], 0.7)
+        _CountingInt.ops = _CountingInt.pows = 0
+        alphas = [_CountingInt(a % P61) for a in nums]
+        b2 = _CountingInt(b * b % P61)
+        gaps = list(tridiag_core._identity_gaps(alphas, b2, n, n, P61))
+        assert _CountingInt.pows == 1
+        assert _CountingInt.ops <= k * (8 * bits + 1) + 2 * bits + 8
+        assert len(gaps) == k
+        assert all(gap[1] % P61 == 0 for (gap,) in gaps)
 
 
 def test_identity_residual_of_a_million_sites(monkeypatch):
@@ -420,6 +428,29 @@ def test_broken_recurrence_reaches_the_exact_pass(mode, alpha, beta, monkeypatch
     assert list(map(repr, got)) == list(map(repr, _exact_reference(m, mode, 2)))
     assert all(r != 0 for r in got[::2])  # n = 2, 4, ..., 20
     assert repr(identity_residual(m, mode)) == repr(got[-1])
+
+
+MIXED_SCALE_ALPHAS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -2.5e-320, 1e300, -1e300, 0.3, -1.7]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("beta", [0.7, -1.3e-200, 3e150])
+def test_batched_fingerprint_matches_per_alpha_calls(beta, broken, monkeypatch):
+    # One batch shares one denominator (2**1074 here, from the subnormals);
+    # each single call has its own.  Values and exact flags must agree.
+    if broken:
+        monkeypatch.setattr(tridiag_core, "_exact_continuants", _sign_flipped_continuants)
+        monkeypatch.setattr(tridiag_core, "_exact_triple", _sign_flipped_triple)
+    for n in (2, 3, 20):
+        for n_min in (n, 2):
+            batch = tridiag_core._residuals(MIXED_SCALE_ALPHAS, beta, FLOAT, n, n_min)
+            single = [tridiag_core._residuals([a], beta, FLOAT, n, n_min)[0]
+                      for a in MIXED_SCALE_ALPHAS]
+            assert [(list(map(repr, v)), x) for v, x in batch] == \
+                [(list(map(repr, v)), x) for v, x in single]
+            # The mutation breaks even sizes only; every-size passes include n = 2.
+            exact = broken and (n % 2 == 0 or n_min == 2)
+            assert all(x == exact for _, x in batch)
 
 
 def test_float_mode_rejects_input_beyond_double_range():
