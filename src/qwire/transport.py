@@ -16,9 +16,11 @@ stay block-sized while only the grid and the outputs span the whole grid.
 They agree because the continuant identity turns
 ``Chat_{n-1}**2 - Chat_{n-2}*Chat_n`` into ``v**(2n-2) = cof**2``; the
 equivalence report verifies that bridge in one fingerprint pass per call
-(modulo 2**61 - 1, exactly where that check is nonzero; both reach the
-continuants by index doubling, O(log n) per energy) and shows the combination
-is generically nonzero, i.e. the identity is doing real work.
+(modulo 2**61 - 1, exactly where that check is nonzero) and shows the
+combination is generically nonzero, i.e. the identity is doing real work.
+The check, its exact pass and ``hat_dets`` all reach the continuants by
+index doubling in one kernel, ``tridiag_core._continuant_kernel``, O(log n)
+per energy, so the bridge verifies the code that produces T.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .tridiag_core import FLOAT, _residuals
+from .tridiag_core import FLOAT, _continuant_kernel, _residuals
 from .wire_matrix import (
     EnergyLike,
     HatDets,
     WireParams,
-    _continuant_kernel,
     corner_cofactor_wire,
     hat_dets,
 )
@@ -140,9 +141,10 @@ class EquivalenceReport:
     ``bridge_exact_fallbacks`` counts the energies whose residual was nonzero
     mod 2**61 - 1 and so took the exact big-integer pass; it is 0 for a
     correct recurrence.  The check and the exact pass reach Chat_n by index
-    doubling, in O(log n) operations per energy.  The check of all energies
-    is one pass over one common denominator; its flags and values equal
-    those of per-energy ``identity_residual`` calls.
+    doubling in ``tridiag_core._continuant_kernel``, the kernel that
+    ``hat_dets`` runs, in O(log n) operations per energy.  The check of all
+    energies is one pass over one common denominator; its flags and values
+    equal those of per-energy ``identity_residual`` calls.
     """
 
     energies: np.ndarray
@@ -367,10 +369,16 @@ def spectrum(
     Raises
     ------
     ValueError
-        Invalid grid bounds, point count, or method.
+        Invalid grid bounds (including a width ``e_max - e_min`` beyond the
+        double range), point count, or method.
     """
     if not (math.isfinite(e_min) and math.isfinite(e_max)) or not e_min < e_max:
         raise ValueError(f"need finite e_min < e_max, got [{e_min}, {e_max}]")
+    # On Python floats an overflowing width is inf, not a numpy RuntimeWarning.
+    if not math.isfinite(float(e_max) - float(e_min)):
+        raise ValueError(
+            f"grid width e_max - e_min leaves the double range, got [{e_min}, {e_max}]"
+        )
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     if method not in ("gf", "eo", "both"):
@@ -380,8 +388,7 @@ def spectrum(
     t_eo = np.empty(points) if method in ("eo", "both") else None
     # Non-finite values raise in _eo or in TransmissionSpectrum.  The numerator
     # and cofactor errors do not depend on the energy, so they come from the
-    # first block; a grid that overflows linspace is nan from index 0 on, so
-    # hat_dets rejects it there first.
+    # first block.
     with np.errstate(all="ignore"):
         for start in range(0, points, _BLOCK):
             block = slice(start, start + _BLOCK)
@@ -413,11 +420,11 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
 
     T(eps) is the GF transmittance, built once per call: the numerator
     ``gamma**2 * cof**2``, the corner constants and the continuant kernel
-    (``_continuant_kernel``, with the bits of n-1) are built up front, so
-    each quadrature evaluation pays only for arithmetic: the kernel's about
-    8*log2(n) float operations, the corner split and the GF quotient,
-    written inline, and at T > 0 the two Fermi functions.  The values are
-    bit-identical to ``transmittance_gf(p, eps)``.
+    (``tridiag_core._continuant_kernel``, with the bits of n-1) are built
+    up front, so each quadrature evaluation pays only for arithmetic: the
+    kernel's about 8*log2(n) float operations, the corner split and the GF
+    quotient, written inline, and at T > 0 the two Fermi functions.  The
+    values are bit-identical to ``transmittance_gf(p, eps)``.
 
     Raises
     ------

@@ -16,12 +16,14 @@ which ties the squared corner cofactor to three consecutive determinants.
 The residual is checked modulo the Mersenne prime 2**61 - 1 first and
 computed exactly only when that check is nonzero: a reported zero means
 "zero mod 2**61 - 1", a nonzero value is exact.  The residual at one size n
-reaches A_n by index doubling, in O(log n) operations for the check and the
-exact pass alike; the residuals at every size 2, ..., n come from one pass of
-the recurrence.  Residuals of many diagonals ``alpha`` with one ``beta`` (the
-bridge of ``transport.equivalence_report``, one alpha per energy) share one
-fingerprint pass: one common denominator, and ``beta**2`` and the power of
-``beta`` reduced once.
+reaches A_n by index doubling in ``_continuant_kernel``, in O(log n)
+operations.  That is the package's one doubling kernel: the check runs it
+mod 2**61 - 1, the exact pass on ints and Fractions, and
+``wire_matrix.hat_dets`` on floats and arrays.  The residuals at every size
+2, ..., n come from one pass of the recurrence.  Residuals of many diagonals
+``alpha`` with one ``beta`` (the bridge of ``transport.equivalence_report``,
+one alpha per energy) share one fingerprint pass: one common denominator,
+and ``beta**2``, the power of ``beta`` and the kernel built once.
 """
 
 from __future__ import annotations
@@ -157,30 +159,46 @@ def _exact_continuants(alpha, b2, n: int, modulus: int | None = None):
         yield prev
 
 
-def _exact_triple(alpha, b2, n: int, modulus: int | None = None) -> tuple:
-    """(A_n, A_{n-1}, A_{n-2}) for n >= 2, in exact arithmetic or reduced mod ``modulus``.
+def _continuant_kernel(b2, n, modulus=None):
+    """The continuant kernel of ``A_k = alpha*A_{k-1} - b2*A_{k-2}`` at index n >= 1.
 
-    Index doubling, as ``wire_matrix._continuant_kernel``: the addition formula
-    ``A_{j+k} = A_j A_k - b2 A_{j-1} A_{k-1}`` takes the pair (A_k, A_{k-1})
-    to (A_{2k}, A_{2k-1}) or (A_{2k+1}, A_{2k}).  Starting from (A_1, A_0),
-    one step per bit of n-1 below its top bit reaches (A_{n-1}, A_{n-2}), and
-    a last recurrence step gives A_n.  With ``modulus`` the pair is reduced
-    after every step, so the values equal those of ``_exact_continuants``.
+    ``kernel(alpha, zero, one)`` returns (A_n, A_{n-1}, A_{n-2}) with
+    A_{-1} = ``zero`` and A_0 = ``one``.  Index doubling: the constant
+    coefficients give the addition formula
+    ``A_{j+k} = A_j A_k - b2 A_{j-1} A_{k-1}``, so the pair (A_k, A_{k-1})
+    goes to (A_{2k}, A_{2k-1}) or (A_{2k+1}, A_{2k}) in eight operations.
+    Starting from (A_1, A_0), one such step per bit of n-1 below its top bit
+    reaches (A_{n-1}, A_{n-2}), and a last recurrence step gives A_n: about
+    8*log2(n) operations in place of 3n.  Floats, numpy arrays, ints and
+    Fractions run the same operations in the same order, so float and array
+    results agree bit for bit.  With ``modulus`` (ints only) the pair is
+    reduced after every step and the triple once at the end, so the values
+    equal those of ``_exact_continuants`` with the same modulus.
+
+    The bits of n-1 and ``2*b2`` depend only on the recurrence, so they are
+    taken here, once; a caller that evaluates many diagonals (energies) with
+    one ``b2`` builds the kernel once and pays only for the arithmetic.
     """
+    odd_bits = tuple(bit == "1" for bit in bin(n - 1)[3:])
     b2x2 = 2 * b2
-    c, d = alpha, 1  # (A_k, A_{k-1}) at k = 1
-    for bit in bin(n - 1)[3:]:
-        c2k = c * c - b2 * (d * d)
-        if bit == "0":
-            c, d = c2k, d * (2 * c - alpha * d)
-        else:
-            c, d = c * (alpha * c - b2x2 * d), c2k
+
+    def kernel(alpha, zero, one):
+        c, d = one, zero  # (A_k, A_{k-1}) at k = 0
+        if n > 1:
+            c, d = alpha * one, one  # k = 1
+            for odd in odd_bits:
+                c2k = c * c - b2 * (d * d)
+                if odd:
+                    c, d = c * (alpha * c - b2x2 * d), c2k
+                else:
+                    c, d = c2k, d * (2 * c - alpha * d)
+                if modulus:
+                    c, d = c % modulus, d % modulus
         if modulus:
-            c, d = c % modulus, d % modulus
-    a_n = alpha * c - b2 * d
-    if modulus:
-        a_n, c = a_n % modulus, c % modulus  # c is still alpha when n = 2
-    return a_n, c, d
+            return (alpha * c - b2 * d) % modulus, c % modulus, d % modulus
+        return alpha * c - b2 * d, c, d
+
+    return kernel
 
 
 def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
@@ -279,16 +297,17 @@ def _identity_gaps(alphas, b2, n_max: int, n_min: int, modulus: int | None = Non
 
     The pairs run over n = n_min, ..., n_max; ``b2`` is beta**2, shared by
     every alpha, and ``n_min`` is 2 or ``n_max``.  A single size takes the
-    power once for all alphas and ``_exact_triple`` per alpha, O(log n)
-    operations each; every size from 2 takes one ``_exact_continuants`` pass
-    per alpha, streamed.  With ``modulus`` both values are only congruent to
-    the exact ones (the continuants and the power are reduced, the
-    difference is not).
+    power and builds ``_continuant_kernel`` once for all alphas, then runs
+    the kernel per alpha, O(log n) operations each; every size from 2 takes
+    one ``_exact_continuants`` pass per alpha, streamed.  With ``modulus``
+    both values are only congruent to the exact ones (the continuants and
+    the power are reduced, the difference is not).
     """
     if n_min == n_max:
         power = pow(b2, n_max - 1, modulus)
+        kernel = _continuant_kernel(b2, n_max, modulus)
         for alpha in alphas:
-            a_n, a_n1, a_n2 = _exact_triple(alpha, b2, n_max, modulus)
+            a_n, a_n1, a_n2 = kernel(alpha, 0, 1)
             yield [(power, power - (a_n1 * a_n1 - a_n2 * a_n))]
         return
     for alpha in alphas:
@@ -401,7 +420,8 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
     result means the residual is zero mod 2**61 - 1 (and is returned as 0,
     Fraction(0) or 0.0); only a nonzero one triggers the exact big-integer
     pass, whose value is then returned.  Both reach A_n by index doubling
-    (``_exact_triple``), in O(log n) operations.
+    in ``_continuant_kernel``, the kernel that ``hat_dets`` runs, in
+    O(log n) operations.
 
     Raises
     ------

@@ -257,6 +257,18 @@ def test_spectrum_invalid_grid_exits_2():
     assert out == ""
 
 
+def test_spectrum_grid_width_overflow_exits_2_naming_bounds():
+    code, out, err = run_text(
+        "spectrum", "-N", "5", "--eps0", "0", "--v", "1", "--gamma", "0.5",
+        "--from=-1e308", "--to=1e308", "--points", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "qwire: grid width e_max - e_min leaves the double range, got [-1e+308, 1e+308]"
+    ]
+
+
 @pytest.mark.parametrize("python_flags", [(), ("-O",)])
 @pytest.mark.parametrize("method", ["gf", "both"])
 def test_spectrum_overflow_exits_1_without_nan(method, python_flags):

@@ -366,15 +366,20 @@ def test_bridge_never_takes_exact_pass_for_correct_recurrence(monkeypatch):
 
 
 def test_broken_recurrence_makes_bridge_report_exact_residual(monkeypatch):
-    real = tridiag_core._exact_triple
+    real = tridiag_core._continuant_kernel
 
-    def sign_slip(alpha, b2, n, modulus=None):
+    def sign_slip(b2, n, modulus=None):
         # The last recurrence step adds b2 A_{n-2} instead of subtracting it,
         # so the residual becomes 2 b2 A_{n-2}**2, which depends on the energy.
-        a_n, a_n1, a_n2 = real(alpha, b2, n, modulus)
-        return a_n + 2 * b2 * a_n2, a_n1, a_n2
+        kernel = real(b2, n, modulus)
 
-    monkeypatch.setattr(tridiag_core, "_exact_triple", sign_slip)
+        def slipped(alpha, zero, one):
+            a_n, a_n1, a_n2 = kernel(alpha, zero, one)
+            return a_n + 2 * b2 * a_n2, a_n1, a_n2
+
+        return slipped
+
+    monkeypatch.setattr(tridiag_core, "_continuant_kernel", sign_slip)
     p = WireParams(n=30, eps0=0.1, v=0.8, gamma=0.5)
     grid = np.linspace(-1.2, 1.3, 9)
     rep = equivalence_report(p, grid)
@@ -391,13 +396,18 @@ def test_underflowing_bridge_residual_is_not_reported_as_zero(monkeypatch):
     # With A_n + 1 the residual is A_{n-2}, nonzero but about 2**-1600 times
     # beta**(2n-2) at n = 30: its quotient rounds to 0.0, which must still
     # read as nonzero.
-    real = tridiag_core._exact_triple
+    real = tridiag_core._continuant_kernel
 
-    def plus_one(alpha, b2, n, modulus=None):
-        a_n, a_n1, a_n2 = real(alpha, b2, n, modulus)
-        return a_n + 1, a_n1, a_n2
+    def plus_one(b2, n, modulus=None):
+        kernel = real(b2, n, modulus)
 
-    monkeypatch.setattr(tridiag_core, "_exact_triple", plus_one)
+        def shifted(alpha, zero, one):
+            a_n, a_n1, a_n2 = kernel(alpha, zero, one)
+            return a_n + 1, a_n1, a_n2
+
+        return shifted
+
+    monkeypatch.setattr(tridiag_core, "_continuant_kernel", plus_one)
     p = WireParams(n=30, eps0=0.1, v=0.8, gamma=0.5)
     rep = equivalence_report(p, np.linspace(-1.2, 1.3, 9))
     assert rep.bridge_exact_fallbacks == 9
@@ -504,8 +514,11 @@ def test_spectrum_method_selects_columns():
 @pytest.mark.parametrize(
     "args",
     [(1.0, -1.0, 5, "both"), (0.0, 0.0, 5, "both"), (-1.0, 1.0, 1, "both"),
-     (-1.0, 1.0, 5, "nope"), (math.nan, 1.0, 5, "both")],
+     (-1.0, 1.0, 5, "nope"), (math.nan, 1.0, 5, "both"),
+     # The width overflows: a ValueError, not np.linspace's RuntimeWarning.
+     (-1e308, 1e308, 3, "both")],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_rejects_bad_arguments(args):
     p = WireParams(n=2, eps0=0.0, v=1.0, gamma=0.5)
     with pytest.raises(ValueError):
@@ -591,12 +604,12 @@ def test_blocked_spectrum_raises_recombination_error_of_last_block():
 @pytest.mark.parametrize("points", BLOCK_SIZES)
 def test_blocked_spectrum_keeps_error_order(points):
     # 1000 sites with v = 1.5: the GF numerator overflows.  A grid whose
-    # width overflows is rejected by hat_dets before that; with method "eo"
-    # the numerator is never formed, and spectrum fails or succeeds as the
-    # whole-grid EO route does.
+    # width overflows is rejected, naming its bounds, before that; with
+    # method "eo" the numerator is never formed, and spectrum fails or
+    # succeeds as the whole-grid EO route does.
     p = WireParams(n=1000, eps0=0.0, v=1.5, gamma=0.5)
     for method in ("gf", "eo", "both"):
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="probe energy"):
+        with pytest.raises(ValueError, match=r"width .* \[-1e\+308, 1e\+308\]"):
             spectrum(p, -1e308, 1e308, points, method)
     with pytest.raises(NumericalError, match="GF numerator"):
         spectrum(p, -1.0, 1.0, points, "both")

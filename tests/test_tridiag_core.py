@@ -20,7 +20,9 @@ from qwire import (
     det_sequence,
     identity_residual,
     identity_residuals,
+    transport,
     tridiag_core,
+    wire_matrix,
 )
 
 from oracles import dense_det, dense_corner_cofactor, dense_sym_tridiag
@@ -304,13 +306,23 @@ kernel_ints = st.one_of(
 
 @pytest.mark.parametrize("n", DOUBLING_SIZES)
 def test_doubling_kernel_matches_continuant_tail(n):
+    # hat_dets, the Landauer integrand and the identity bridge run one kernel.
+    assert wire_matrix._continuant_kernel is tridiag_core._continuant_kernel
+    assert transport._continuant_kernel is tridiag_core._continuant_kernel
     for alpha, b2 in ((3, 1), (-7, 12), (5, 0), (0, 4), (3 * P61, P61), (P61 + 2, 5 * P61),
                       (10 ** 25, 10 ** 30), (Fraction(7, 3), Fraction(4, 25)),
                       (Fraction(-1, P61), 0), (2, Fraction(9, 4))):
-        assert tridiag_core._exact_triple(alpha, b2, n) == _continuant_tail(alpha, b2, n)
+        got = tridiag_core._continuant_kernel(b2, n)(alpha, 0, 1)
+        assert got == _continuant_tail(alpha, b2, n)
         if not isinstance(alpha, Fraction) and not isinstance(b2, Fraction):
-            got = tridiag_core._exact_triple(alpha, b2, n, P61)
-            assert got == _continuant_tail(alpha, b2, n, P61)
+            reduced = tridiag_core._continuant_kernel(b2, n, P61)(alpha, 0, 1)
+            assert reduced == _continuant_tail(alpha, b2, n, P61)
+            # While every continuant is an integer below 2**53, the float
+            # kernel rounds nothing and lands on the int kernel's values.
+            # Ints carry no sign of zero, so + 0.0 turns -0.0 into 0.0.
+            if max(map(abs, tridiag_core._exact_continuants(alpha, b2, n))) < 2 ** 53:
+                floats = tridiag_core._continuant_kernel(float(b2), n)(float(alpha), 0.0, 1.0)
+                assert [(x + 0.0).hex() for x in floats] == [float(a).hex() for a in got]
 
 
 @settings(max_examples=500, deadline=None)
@@ -320,7 +332,7 @@ def test_doubling_kernel_matches_continuant_tail_property(data, n, modulus):
     # Reduction mod p is a ring map on the integers only, so Fractions run exact.
     scalars = kernel_ints if modulus else st.one_of(kernel_ints, st.fractions())
     alpha, b2 = data.draw(scalars), data.draw(scalars)
-    got = tridiag_core._exact_triple(alpha, b2, n, modulus)
+    got = tridiag_core._continuant_kernel(b2, n, modulus)(alpha, 0, 1)
     assert got == _continuant_tail(alpha, b2, n, modulus)
 
 
@@ -407,12 +419,12 @@ def _sign_flipped_continuants(alpha, b2, n, modulus=None):
         yield prev
 
 
-_real_exact_triple = tridiag_core._exact_triple
+_real_kernel = tridiag_core._continuant_kernel
 
 
-def _sign_flipped_triple(alpha, b2, n, modulus=None):
+def _sign_flipped_kernel(b2, n, modulus=None):
     """The same mutation in the doubling kernel that single sizes run."""
-    return _real_exact_triple(alpha, -b2, n, modulus)
+    return _real_kernel(-b2, n, modulus)
 
 
 @pytest.mark.parametrize("mode, alpha, beta", [
@@ -422,7 +434,7 @@ def _sign_flipped_triple(alpha, b2, n, modulus=None):
 ])
 def test_broken_recurrence_reaches_the_exact_pass(mode, alpha, beta, monkeypatch):
     monkeypatch.setattr(tridiag_core, "_exact_continuants", _sign_flipped_continuants)
-    monkeypatch.setattr(tridiag_core, "_exact_triple", _sign_flipped_triple)
+    monkeypatch.setattr(tridiag_core, "_continuant_kernel", _sign_flipped_kernel)
     m = SymToeplitzTridiag(alpha, beta, 20)
     got = identity_residuals(m, mode)
     assert list(map(repr, got)) == list(map(repr, _exact_reference(m, mode, 2)))
@@ -440,7 +452,7 @@ def test_batched_fingerprint_matches_per_alpha_calls(beta, broken, monkeypatch):
     # each single call has its own.  Values and exact flags must agree.
     if broken:
         monkeypatch.setattr(tridiag_core, "_exact_continuants", _sign_flipped_continuants)
-        monkeypatch.setattr(tridiag_core, "_exact_triple", _sign_flipped_triple)
+        monkeypatch.setattr(tridiag_core, "_continuant_kernel", _sign_flipped_kernel)
     for n in (2, 3, 20):
         for n_min in (n, 2):
             batch = tridiag_core._residuals(MIXED_SCALE_ALPHAS, beta, FLOAT, n, n_min)
