@@ -186,7 +186,7 @@ def cmd_identity(args: argparse.Namespace) -> None:
         raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
     # A_k does not depend on the matrix size, so one n_max pass feeds every row.
     m = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=args.n_max)
-    dets = tridiag_core.det_sequence(m, args.mode).unscaled()
+    dets = tridiag_core.det_sequence(m, args.mode).values
     residuals = tridiag_core.identity_residuals(m, args.mode)
     cof_type = float if args.mode == tridiag_core.FLOAT else type(args.beta)
     rows = []

@@ -108,7 +108,7 @@ class TransmissionSpectrum:
         grid = np.asarray(self.energies, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("energy grid must be a non-empty 1-d array")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        if not np.all(grid[1:] > grid[:-1]):  # one bool per point, no float temporary
             raise ValueError("energy grid must be strictly increasing")
         for name in ("t_gf", "t_eo"):
             t = getattr(self, name)

@@ -19,11 +19,14 @@ computed exactly only when that check is nonzero: a reported zero means
 reaches A_n by index doubling in ``_continuant_kernel``, in O(log n)
 operations.  That is the package's one doubling kernel: the check runs it
 mod 2**61 - 1, the exact pass on ints and Fractions, and
-``wire_matrix.hat_dets`` on floats and arrays.  The residuals at every size
-2, ..., n come from one pass of the recurrence.  Residuals of many diagonals
-``alpha`` with one ``beta`` (the bridge of ``transport.equivalence_report``,
-one alpha per energy) share one fingerprint pass: one common denominator,
-and ``beta**2``, the power of ``beta`` and the kernel built once.
+``wire_matrix.hat_dets`` on floats and arrays.  The determinant sequence,
+exact or float, and the residuals at every size 2, ..., n come from one
+pass of the linear recurrence ``_continuants``; a float sequence is never
+rescaled, and one that leaves the double range raises NumericalError.
+Residuals of many diagonals ``alpha`` with one ``beta`` (the bridge of
+``transport.equivalence_report``, one alpha per energy) share one
+fingerprint pass: one common denominator, and ``beta**2``, the power of
+``beta`` and the kernel built once.
 """
 
 from __future__ import annotations
@@ -31,22 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import DomainError, ModeError
+from .errors import DomainError, ModeError, NumericalError
 
 EXACT = "exact"
 FLOAT = "float"
 
 Scalar = Union[int, float, Fraction]
-
-# Rescaling threshold for the floating determinant sequence.  Entries are
-# rescaled by 2**-_RESCALE_SHIFT (uniformly, so ratios and the identity
-# residual stay at matched scale) whenever they exceed 2**_RESCALE_AT.
-_RESCALE_AT = 2.0 ** 512
-_RESCALE_SHIFT = 512
 
 # Modulus of the identity fingerprint: a residual that vanishes modulo this
 # prime is reported as zero without the exact big-integer pass.
@@ -89,34 +86,16 @@ class SymToeplitzTridiag:
 
 @dataclass(frozen=True)
 class DetSequence:
-    """Determinant sequence [A_0, ..., A_n], possibly rescaled by 2**-scale_exponent.
+    """Determinant sequence [A_0, ..., A_n] as ints or Fractions (exact) or floats.
 
-    In exact mode the exponent is always 0 and the values are ints or
-    Fractions.  In float mode every rescale multiplies the entries stored so
-    far by 2**-512, so after repeated rescales the earliest entries underflow
-    to subnormals or 0: ``values[k] * 2**scale_exponent`` approximates A_k
-    only for the entries that survive.
+    ``scale_exponent`` is always 0: the values are the determinants
+    themselves, never rescaled.  It stays as a class constant because the
+    benchmark's reference values (``perfbench/workloads.py``) still undo a
+    scale with ``math.ldexp(value, scale_exponent)``.
     """
 
     values: tuple
-    scale_exponent: int = 0
-
-    def unscaled(self) -> tuple:
-        """All entries with the scale undone; signed infinity beyond the double range."""
-        if self.scale_exponent == 0:
-            return self.values
-        return tuple(_ldexp(v, self.scale_exponent) for v in self.values)
-
-    def determinant(self):
-        """Last element with the scale undone (see ``unscaled``)."""
-        return self.unscaled()[-1]
-
-
-def _ldexp(value: float, exponent: int) -> float:
-    try:
-        return math.ldexp(value, exponent)
-    except OverflowError:
-        return math.copysign(math.inf, value)
+    scale_exponent: ClassVar[int] = 0
 
 
 def _as_exact(value: Scalar, name: str) -> Union[int, Fraction]:
@@ -148,9 +127,15 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _exact_continuants(alpha, b2, n: int, modulus: int | None = None):
-    """Yield A_0, A_1, ..., A_n of the recurrence in exact arithmetic, or mod ``modulus``."""
-    prev2, prev = 0, 1
+def _continuants(alpha, b2, n: int, modulus: int | None = None):
+    """Yield A_0, A_1, ..., A_n of the recurrence, mod ``modulus`` if given.
+
+    A_{-1} = 0 and A_0 = 1 take the type of ``b2``, so floats, ints and
+    Fractions run one loop: floats round once per operation, ints and
+    Fractions are exact.
+    """
+    prev2 = 0 * b2
+    prev = prev2 + 1
     yield prev
     for _ in range(n):
         prev2, prev = prev, alpha * prev - b2 * prev2
@@ -173,7 +158,7 @@ def _continuant_kernel(b2, n, modulus=None):
     Fractions run the same operations in the same order, so float and array
     results agree bit for bit.  With ``modulus`` (ints only) the pair is
     reduced after every step and the triple once at the end, so the values
-    equal those of ``_exact_continuants`` with the same modulus.
+    equal those of ``_continuants`` with the same modulus.
 
     The bits of n-1 and ``2*b2`` depend only on the recurrence, so they are
     taken here, once; a caller that evaluates many diagonals (energies) with
@@ -204,43 +189,39 @@ def _continuant_kernel(b2, n, modulus=None):
 def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
     """Determinant sequence [A_0, A_1, ..., A_n] via the three-term recurrence.
 
-    In float mode the whole sequence is uniformly rescaled by a power of two
-    whenever an entry exceeds 2**512, and the shared exponent is recorded in
-    ``scale_exponent``; this keeps long sequences representable while
-    preserving ratios between entries.
+    Exact and float mode run the same loop, ``_continuants``; float mode
+    rounds once per operation.  Once an entry is non-finite every later one
+    is too, so only the last is checked on the way out.
 
     Raises
     ------
     ModeError
         Exact mode with inputs that are not integers or Fractions, or float
         mode with an input beyond the double range.
+    NumericalError
+        Float mode when some A_k leaves the double range; the message names
+        the first such k.
     """
     _check_mode(mode)
     if mode == EXACT:
         alpha = _as_exact(m.alpha, "alpha")
         beta = _as_exact(m.beta, "beta")
-        return DetSequence(values=tuple(_exact_continuants(alpha, beta * beta, m.n)))
-
-    alpha = _as_float(m.alpha, "alpha")
-    beta = _as_float(m.beta, "beta")
-    b2 = beta * beta
-    values = [1.0]
-    prev2, prev = 0.0, 1.0
-    exponent = 0
-    for _ in range(m.n):
-        prev2, prev = prev, alpha * prev - b2 * prev2
-        if abs(prev) > _RESCALE_AT:
-            values = [math.ldexp(v, -_RESCALE_SHIFT) for v in values]
-            prev = math.ldexp(prev, -_RESCALE_SHIFT)
-            prev2 = math.ldexp(prev2, -_RESCALE_SHIFT)
-            exponent += _RESCALE_SHIFT
-        values.append(prev)
-    return DetSequence(values=tuple(values), scale_exponent=exponent)
+    else:
+        alpha = _as_float(m.alpha, "alpha")
+        beta = _as_float(m.beta, "beta")
+    values = tuple(_continuants(alpha, beta * beta, m.n))
+    if mode == FLOAT and not math.isfinite(values[-1]):
+        k = next(k for k, value in enumerate(values) if not math.isfinite(value))
+        raise NumericalError(f"determinant A_{k} leaves the double range")
+    return DetSequence(values=values)
 
 
 def det(m: SymToeplitzTridiag, mode: str = FLOAT):
-    """Determinant A_n (equals the last element of the sequence)."""
-    return det_sequence(m, mode).determinant()
+    """Determinant A_n, the last element of ``det_sequence(m, mode)``.
+
+    Raises ModeError and NumericalError as ``det_sequence``.
+    """
+    return det_sequence(m, mode).values[-1]
 
 
 def det_chebyshev(m: SymToeplitzTridiag) -> float:
@@ -254,6 +235,9 @@ def det_chebyshev(m: SymToeplitzTridiag) -> float:
     ------
     DomainError
         beta = 0 (the closed form degenerates; use det(), which gives alpha**n).
+    NumericalError
+        beta**n, alpha / (2 beta) or U_n leaves the double range, so the
+        product is not finite.
     """
     beta = float(m.beta)
     if beta == 0.0:
@@ -262,7 +246,13 @@ def det_chebyshev(m: SymToeplitzTridiag) -> float:
     prev2, prev = 0.0, 1.0  # U_{-1}, U_0
     for _ in range(m.n):
         prev2, prev = prev, 2.0 * x * prev - prev2
-    return beta ** m.n * prev
+    try:
+        value = beta ** m.n * prev
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"Chebyshev form beta**n * U_n at n={m.n} leaves the double range")
+    return value
 
 
 def corner_cofactor(m: SymToeplitzTridiag):
@@ -276,10 +266,17 @@ def corner_cofactor(m: SymToeplitzTridiag):
     ------
     DomainError
         n = 0 (no (n, 1) entry exists).
+    NumericalError
+        A float ``beta`` whose power ``beta**(n-1)`` leaves the double range.
     """
     if m.n < 1:
         raise DomainError("corner cofactor needs n >= 1")
-    return m.beta ** (m.n - 1)
+    try:
+        return m.beta ** (m.n - 1)
+    except OverflowError:
+        raise NumericalError(
+            f"corner cofactor beta**(n-1) = {m.beta}**{m.n - 1} leaves the double range"
+        ) from None
 
 
 def _identity_inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
@@ -299,7 +296,7 @@ def _identity_gaps(alphas, b2, n_max: int, n_min: int, modulus: int | None = Non
     every alpha, and ``n_min`` is 2 or ``n_max``.  A single size takes the
     power and builds ``_continuant_kernel`` once for all alphas, then runs
     the kernel per alpha, O(log n) operations each; every size from 2 takes
-    one ``_exact_continuants`` pass per alpha, streamed.  With ``modulus``
+    one ``_continuants`` pass per alpha, streamed.  With ``modulus``
     both values are only congruent to the exact ones (the continuants and
     the power are reduced, the difference is not).
     """
@@ -316,7 +313,7 @@ def _identity_gaps(alphas, b2, n_max: int, n_min: int, modulus: int | None = Non
 
 def _every_size_gaps(alpha, b2, n_max: int, modulus: int | None):
     """The pairs of ``_identity_gaps`` for n = 2, ..., n_max, from one recurrence pass."""
-    continuants = _exact_continuants(alpha, b2, n_max, modulus)
+    continuants = _continuants(alpha, b2, n_max, modulus)
     a_n2, a_n1 = next(continuants), next(continuants)
     power = 1
     for a_n in continuants:

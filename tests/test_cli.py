@@ -1,7 +1,6 @@
 """Command-line interface: golden regressions, exit codes, formats, config."""
 
 import json
-import math
 import pathlib
 import subprocess
 import sys
@@ -123,7 +122,8 @@ def test_identity_json_format():
     pytest.param("float", "1.5", "0.25", 40, id="float-1.5-0.25"),
     pytest.param("float", "-0.37", "1.3", 40, id="float--0.37-1.3"),
     pytest.param("float", "7", "3", 40, id="float-7-3"),
-    # A_213 passes 2**512, so the n_max sequence is rescaled once.
+    # A_213 passes 2**512 but stays in range, so every row prints from the
+    # plain recurrence's values.
     pytest.param("float", "7", "3", 213, id="float-7-3-rescaled"),
 ])
 def test_identity_exact_rows_match_per_size_library_calls(mode, alpha, beta, n_max, capsys):
@@ -137,8 +137,7 @@ def test_identity_exact_rows_match_per_size_library_calls(mode, alpha, beta, n_m
     assert len(rows) == n_max - 1
     for n, row in enumerate(rows, start=2):
         m = SymToeplitzTridiag(cli._number(alpha), cli._number(beta), n)
-        ds = det_sequence(m, mode)
-        seq = [math.ldexp(x, ds.scale_exponent) for x in ds.values] if mode == FLOAT else ds.values
+        seq = det_sequence(m, mode).values
         cof = corner_cofactor(m)
         expected = [n, (float(cof) if mode == FLOAT else cof) ** 2,
                     seq[n - 1] ** 2 - seq[n - 2] * seq[n], identity_residual(m, mode)]
@@ -165,6 +164,16 @@ def test_identity_row_beyond_double_range_exits_1(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "qwire: identity row n=325 leaves the double range\n"
+
+
+def test_identity_sequence_beyond_double_range_exits_1(capsys):
+    # A_426 of alpha = 7, beta = 3 is the first determinant beyond the
+    # largest double, so the table fails before any row is formed.
+    argv = ["identity", "--alpha", "7", "--beta", "3", "--n-max", "1000", "--mode", "float"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qwire: determinant A_426 leaves the double range\n"
 
 
 HUGE = "1" + "0" * 400  # 1e400, beyond the largest double

@@ -549,6 +549,23 @@ def test_spectrum_type_rejects_nonfinite_samples():
             )
 
 
+def test_spectrum_type_validation_allocates_no_float_temporary():
+    # The monotonicity check compares neighbours into one bool per point; a
+    # full-grid float temporary (np.diff) alone would take 8 bytes per point.
+    p = WireParams(n=2, eps0=0.0, v=1.0, gamma=0.5)
+    points = 30000
+    energies = np.linspace(-1.0, 1.0, points)
+    t = np.full(points, 0.5)
+    TransmissionSpectrum(energies=energies, params=p, method="both", t_gf=t, t_eo=t)  # warm up
+    tracemalloc.start()
+    try:
+        TransmissionSpectrum(energies=energies, params=p, method="both", t_gf=t, t_eo=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * points
+
+
 BLOCK = transport._BLOCK
 BLOCK_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]
 

@@ -13,6 +13,7 @@ from qwire import (
     FLOAT,
     DomainError,
     ModeError,
+    NumericalError,
     SymToeplitzTridiag,
     corner_cofactor,
     det,
@@ -67,15 +68,17 @@ def test_det_alpha3_beta1_n3():
 
 def test_float_matches_exact_for_integer_inputs():
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = int(rng.integers(-10, 11))
-        b = int(rng.integers(-10, 11))
-        n = int(rng.integers(0, 25))
+    # (7, 3, 213): A_213 passes 2**512 but stays in the double range.
+    cases = [(7, 3, 213)] + [
+        (int(rng.integers(-10, 11)), int(rng.integers(-10, 11)), int(rng.integers(0, 25)))
+        for _ in range(50)
+    ]
+    for a, b, n in cases:
         m = SymToeplitzTridiag(a, b, n)
         exact = det_sequence(m, EXACT).values
-        floats = det_sequence(m, FLOAT)
-        assert floats.scale_exponent == 0
-        for ve, vf in zip(exact, floats.values):
+        floats = det_sequence(m, FLOAT).values
+        assert len(floats) == len(exact) == n + 1
+        for ve, vf in zip(exact, floats):
             assert vf == pytest.approx(float(ve), rel=1e-12, abs=1e-300)
 
 
@@ -91,21 +94,31 @@ def test_sequence_triples_satisfy_recurrence():
             assert abs(seq[k] - expect) <= 1e-12 * scale
 
 
-def test_rescaling_keeps_sequence_representable():
-    m = SymToeplitzTridiag(2.0 ** 40, 1.0, 64)
-    ds = det_sequence(m, FLOAT)
-    assert ds.scale_exponent > 0
-    assert max(abs(v) for v in ds.values) <= 2.0 ** 513
-    # scaled value times 2**exponent reproduces the exact determinant
-    exact = det_sequence(m, EXACT).values[-1]
-    recovered = Fraction(ds.values[-1]) * Fraction(2) ** ds.scale_exponent
-    assert abs(recovered / Fraction(exact) - 1) < Fraction(1, 10 ** 12)
+def test_float_sequence_beyond_double_range_raises():
+    for alpha, beta, n, first in (
+        # A_k grows like 2**(40k) and passes the largest double at k = 26.
+        (2.0 ** 40, 1.0, 64, 26),
+        # A_k grows like 9**k; a whole-list rescale once flushed A_0, A_1, A_2
+        # to (0.0, -0.0, -0.0) here instead of (1, -1, -80).
+        (-1.0, -9.0, 1223, 324),
+    ):
+        with pytest.raises(NumericalError, match=rf"\bA_{first} leaves the double range"):
+            det_sequence(SymToeplitzTridiag(alpha, beta, n), FLOAT)
+        # The entries before the first non-finite one are the plain recurrence's.
+        head = det_sequence(SymToeplitzTridiag(alpha, beta, first - 1), FLOAT).values
+        exact = det_sequence(SymToeplitzTridiag(alpha, beta, first - 1), EXACT).values
+        assert all(math.isfinite(v) for v in head)
+        assert head[:3] == tuple(map(float, exact[:3]))
+        assert head[-1] == pytest.approx(float(exact[-1]), rel=1e-10)
 
 
-def test_float_det_beyond_double_range_is_signed_infinity():
-    # A_n of alpha = 7, beta = 3 grows like 5.3**n, past the double range near n = 425.
-    assert det(SymToeplitzTridiag(7.0, 3.0, 1000)) == math.inf
-    assert det(SymToeplitzTridiag(-7.0, 3.0, 1001)) == -math.inf
+def test_float_det_beyond_double_range_raises_naming_first_index():
+    # A_n of alpha = 7, beta = 3 grows like 5.3**n, past the double range at n = 426.
+    with pytest.raises(NumericalError, match=r"\bA_426 leaves the double range"):
+        det(SymToeplitzTridiag(7.0, 3.0, 1000))
+    with pytest.raises(NumericalError, match=r"\bA_426 leaves the double range"):
+        det(SymToeplitzTridiag(-7.0, 3.0, 1001))
+    assert math.isfinite(det(SymToeplitzTridiag(7.0, 3.0, 425)))
 
 
 def test_dense_oracle_agreement():
@@ -154,6 +167,18 @@ def test_chebyshev_rejects_beta_zero():
         det_chebyshev(SymToeplitzTridiag(2.0, 0.0, 3))
 
 
+def test_chebyshev_power_overflow_raises_numerical_error():
+    # 10.0**400 is beyond the largest double: no bare OverflowError.
+    with pytest.raises(NumericalError, match="n=400"):
+        det_chebyshev(SymToeplitzTridiag(1.0, 10.0, 400))
+
+
+def test_chebyshev_nonfinite_product_raises_numerical_error():
+    # alpha / (2 beta) overflows and beta**3 underflows: inf * 0 would be nan.
+    with pytest.raises(NumericalError, match="n=3"):
+        det_chebyshev(SymToeplitzTridiag(1e200, 1e-200, 3))
+
+
 # --- corner cofactor ------------------------------------------------------
 
 def test_cofactor_examples():
@@ -178,6 +203,13 @@ def test_cofactor_squared_matches_dense_minor():
 def test_cofactor_rejects_empty_matrix():
     with pytest.raises(DomainError):
         corner_cofactor(SymToeplitzTridiag(1, 1, 0))
+
+
+def test_cofactor_float_overflow_raises_numerical_error():
+    with pytest.raises(NumericalError, match=r"10\.0\*\*399"):
+        corner_cofactor(SymToeplitzTridiag(1.0, 10.0, 400))
+    # Int and Fraction powers are exact and never overflow.
+    assert corner_cofactor(SymToeplitzTridiag(1, 10, 400)) == 10 ** 399
 
 
 # --- nonlinear identity ---------------------------------------------------
@@ -293,7 +325,7 @@ def test_fingerprint_edge_inputs_match_exact_pass(alpha, beta):
 
 def _continuant_tail(alpha, b2, n, modulus=None):
     """(A_n, A_{n-1}, A_{n-2}) from the one-step recurrence."""
-    *_, a_n2, a_n1, a_n = tridiag_core._exact_continuants(alpha, b2, n, modulus)
+    *_, a_n2, a_n1, a_n = tridiag_core._continuants(alpha, b2, n, modulus)
     return a_n, a_n1, a_n2
 
 
@@ -320,7 +352,7 @@ def test_doubling_kernel_matches_continuant_tail(n):
             # While every continuant is an integer below 2**53, the float
             # kernel rounds nothing and lands on the int kernel's values.
             # Ints carry no sign of zero, so + 0.0 turns -0.0 into 0.0.
-            if max(map(abs, tridiag_core._exact_continuants(alpha, b2, n))) < 2 ** 53:
+            if max(map(abs, tridiag_core._continuants(alpha, b2, n))) < 2 ** 53:
                 floats = tridiag_core._continuant_kernel(float(b2), n)(float(alpha), 0.0, 1.0)
                 assert [(x + 0.0).hex() for x in floats] == [float(a).hex() for a in got]
 
@@ -433,7 +465,7 @@ def _sign_flipped_kernel(b2, n, modulus=None):
     (EXACT, Fraction(1, P61), Fraction(3, 2)),
 ])
 def test_broken_recurrence_reaches_the_exact_pass(mode, alpha, beta, monkeypatch):
-    monkeypatch.setattr(tridiag_core, "_exact_continuants", _sign_flipped_continuants)
+    monkeypatch.setattr(tridiag_core, "_continuants", _sign_flipped_continuants)
     monkeypatch.setattr(tridiag_core, "_continuant_kernel", _sign_flipped_kernel)
     m = SymToeplitzTridiag(alpha, beta, 20)
     got = identity_residuals(m, mode)
@@ -451,7 +483,7 @@ def test_batched_fingerprint_matches_per_alpha_calls(beta, broken, monkeypatch):
     # One batch shares one denominator (2**1074 here, from the subnormals);
     # each single call has its own.  Values and exact flags must agree.
     if broken:
-        monkeypatch.setattr(tridiag_core, "_exact_continuants", _sign_flipped_continuants)
+        monkeypatch.setattr(tridiag_core, "_continuants", _sign_flipped_continuants)
         monkeypatch.setattr(tridiag_core, "_continuant_kernel", _sign_flipped_kernel)
     for n in (2, 3, 20):
         for n_min in (n, 2):
