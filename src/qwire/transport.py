@@ -423,8 +423,10 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     (``tridiag_core._continuant_kernel``, with the bits of n-1) are built
     up front, so each quadrature evaluation pays only for arithmetic: the
     kernel's about 8*log2(n) float operations, the corner split and the GF
-    quotient, written inline, and at T > 0 the two Fermi functions.  The
-    values are bit-identical to ``transmittance_gf(p, eps)``.
+    quotient, written inline, and at T > 0 the two Fermi functions.  One
+    integrand serves both temperatures, so a quadrature point costs two
+    Python frames, the integrand and the kernel.  The values are
+    bit-identical to ``transmittance_gf(p, eps)``.
 
     Raises
     ------
@@ -442,30 +444,28 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     eps0, g = p.eps0, p.gamma
     q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
     kernel = _continuant_kernel(p.v * p.v, p.n)
+    warm = bias.temperature > 0.0
+    mu_left, mu_right, temperature = bias.mu_left, bias.mu_right, bias.temperature
+    tanh = math.tanh
+    if warm:
+        pad = 40.0 * temperature
+        lo -= pad
+        hi += pad
 
-    def t_gf(e: float) -> float:
+    def integrand(e: float) -> float:
         c_n, c_n1, c_n2 = kernel(eps0 - e, 0.0, 1.0)
         re = c_n - q * c_n2
         im = g * c_n1
         det_sq = re * re + im * im
         if det_sq == 0.0:
             raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
-        return num / det_sq
-
-    if bias.temperature > 0.0:
-        pad = 40.0 * bias.temperature
-        lo -= pad
-        hi += pad
-        mu_left, mu_right, temperature = bias.mu_left, bias.mu_right, bias.temperature
-
-        def integrand(e: float) -> float:
+        if warm:
             # f_L - f_R with f(e) = 0.5 - 0.5*tanh(0.5*(e - mu)/T), the Fermi function.
-            occ = (0.5 - 0.5 * math.tanh(0.5 * (e - mu_left) / temperature)) - (
-                0.5 - 0.5 * math.tanh(0.5 * (e - mu_right) / temperature)
+            occ = (0.5 - 0.5 * tanh(0.5 * (e - mu_left) / temperature)) - (
+                0.5 - 0.5 * tanh(0.5 * (e - mu_right) / temperature)
             )
-            return occ * t_gf(e)
-    else:
-        integrand = t_gf
+            return occ * (num / det_sq)
+        return num / det_sq
 
     breaks = [e for e in chain_resonances(p) if lo < e < hi]
     # QUADPACK needs more subintervals than break points; only then is the

@@ -179,6 +179,23 @@ def test_chebyshev_nonfinite_product_raises_numerical_error():
         det_chebyshev(SymToeplitzTridiag(1e200, 1e-200, 3))
 
 
+@pytest.mark.parametrize("alpha, beta, n", [
+    (1e-100, 1e-200, 2),     # beta**2 underflows to 0.0; A_2 = alpha**2 - beta**2 = 1e-200
+    (3e-160, 1e-160, 2),     # beta**2 = 1e-320 is subnormal, U_2 = 8
+    (-1.0, 0.5, 1100),       # 0.5**1100 underflows to 0.0 at a long size
+])
+def test_chebyshev_power_underflow_raises_numerical_error(alpha, beta, n):
+    # U_n is nonzero, so a zero or subnormal beta**n would lose the value.
+    with pytest.raises(NumericalError, match=f"n={n}"):
+        det_chebyshev(SymToeplitzTridiag(alpha, beta, n))
+
+
+def test_chebyshev_power_underflow_with_zero_chebyshev_factor_is_zero():
+    # U_3(0) = 0: the determinant is exactly zero and needs no power.
+    m = SymToeplitzTridiag(0.0, 1e-200, 3)
+    assert det_chebyshev(m) == 0.0 == det(m)
+
+
 # --- corner cofactor ------------------------------------------------------
 
 def test_cofactor_examples():
@@ -210,6 +227,17 @@ def test_cofactor_float_overflow_raises_numerical_error():
         corner_cofactor(SymToeplitzTridiag(1.0, 10.0, 400))
     # Int and Fraction powers are exact and never overflow.
     assert corner_cofactor(SymToeplitzTridiag(1, 10, 400)) == 10 ** 399
+
+
+@pytest.mark.filterwarnings("error")
+def test_cofactor_numpy_beta_overflow_raises_numerical_error():
+    # A numpy float power overflows to inf with only a RuntimeWarning.
+    with pytest.raises(NumericalError, match=r"10\.0\*\*399"):
+        corner_cofactor(SymToeplitzTridiag(1.0, np.float64(10.0), 400))
+    assert corner_cofactor(SymToeplitzTridiag(1.0, np.float64(-1.5), 4)) == -3.375
+    # A numpy integer power wraps around silently; the cofactor stays exact.
+    assert corner_cofactor(SymToeplitzTridiag(1, np.int64(10), 400)) == 10 ** 399
+    assert corner_cofactor(SymToeplitzTridiag(1, np.int32(-3), 4)) == -27
 
 
 # --- nonlinear identity ---------------------------------------------------
@@ -366,6 +394,13 @@ def test_doubling_kernel_matches_continuant_tail_property(data, n, modulus):
     alpha, b2 = data.draw(scalars), data.draw(scalars)
     got = tridiag_core._continuant_kernel(b2, n, modulus)(alpha, 0, 1)
     assert got == _continuant_tail(alpha, b2, n, modulus)
+
+
+def test_plain_kernel_has_no_modulus_test():
+    # The loop body is chosen when the kernel is built: the float kernel never
+    # tests ``modulus``, the reducing kernel reduces at every step.
+    assert "modulus" not in tridiag_core._continuant_kernel(0.81, 9).__code__.co_freevars
+    assert "modulus" in tridiag_core._continuant_kernel(81, 9, P61).__code__.co_freevars
 
 
 class _CountingInt(int):

@@ -236,7 +236,7 @@ def test_continuant_kernel_transmittance_within_rounding_bound_of_exact():
 
 
 class _CountingFloat:
-    """A float that counts its multiplications and subtractions.
+    """A float that counts its multiplications, additions and subtractions.
 
     Any other arithmetic raises TypeError, so a kernel that used it would
     fail the cost test rather than go uncounted.
@@ -256,6 +256,9 @@ class _CountingFloat:
 
     def __rmul__(self, other):
         return self._op(other, lambda a, b: b * a)
+
+    def __add__(self, other):
+        return self._op(other, lambda a, b: a + b)
 
     def __sub__(self, other):
         return self._op(other, lambda a, b: a - b)
