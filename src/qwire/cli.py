@@ -57,7 +57,10 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> No
     for action in parser._actions:
         if action.dest in config:
             raw = config[action.dest]
-            value = action.type(raw) if action.type is not None else raw
+            try:
+                value = action.type(raw) if action.type is not None else raw
+            except ValueError:
+                parser.error(f"invalid config value {action.dest}={raw!r}")
             if action.choices is not None and value not in action.choices:
                 parser.error(
                     f"config value {action.dest}={raw!r} not in {sorted(action.choices)}"
@@ -188,11 +191,15 @@ def cmd_identity(args: argparse.Namespace) -> None:
     m = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=args.n_max)
     dets = tridiag_core.det_sequence(m, args.mode).values
     residuals = tridiag_core.identity_residuals(m, args.mode)
-    cof_type = float if args.mode == tridiag_core.FLOAT else type(args.beta)
+    # Float mode rounds beta**(n-1) as given, once (an int power is exact);
+    # exact mode takes beta as det_sequence does, so 3.0 counts as 3.
+    float_mode = args.mode == tridiag_core.FLOAT
+    beta = args.beta if float_mode else tridiag_core._inputs(m, args.mode)[1]
+    cof_type = float if float_mode else type(beta)
     rows = []
     for n, residual in zip(range(2, args.n_max + 1), residuals):
         try:
-            row = [n, cof_type(args.beta ** (n - 1)) ** 2,
+            row = [n, cof_type(beta ** (n - 1)) ** 2,
                    dets[n - 1] ** 2 - dets[n - 2] * dets[n], residual]
         except OverflowError:  # a float power or square beyond the double range
             row = [math.inf]
@@ -353,12 +360,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _peek_config(argv: list[str]) -> str | None:
+    """The path of the last ``--config``, as argparse keeps the last value of a flag."""
+    path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+            path = argv[i + 1]
+        elif token.startswith("--config="):
+            path = token.split("=", 1)[1]
+    return path
 
 
 def _find_subparser(parser: argparse.ArgumentParser, argv: list[str]):

@@ -158,15 +158,6 @@ class EquivalenceReport:
     bridge_exact_fallbacks: int
 
 
-def _det_sq(re: EnergyLike, im: EnergyLike) -> EnergyLike:
-    """``|det C|**2`` from the corner split ``det C = re + i*im``."""
-    det_sq = re * re + im * im
-    # Only a scalar quotient by 0.0 raises (ZeroDivisionError); arrays give nan or inf.
-    if isinstance(det_sq, float) and det_sq == 0.0:
-        raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
-    return det_sq
-
-
 def _gf_numerator(p: WireParams) -> float:
     """gamma**2 * cof**2, the energy-independent numerator of the GF route.
 
@@ -185,14 +176,15 @@ def _gf_numerator(p: WireParams) -> float:
     return num
 
 
-def _gf(p: WireParams, det_sq: EnergyLike) -> EnergyLike:
-    return _gf_numerator(p) / det_sq
-
-
 def _dets(p: WireParams, eps: EnergyLike) -> tuple[HatDets, EnergyLike]:
-    """``hat_dets(p, eps)`` and the ``|det C|**2`` that both routes divide by."""
+    """``hat_dets(p, eps)`` and ``|det C|**2`` from its corner split, for both routes."""
     h = hat_dets(p, eps)
-    return h, _det_sq(*h.corner_split(p.gamma))
+    re, im = h.corner_split(p.gamma)
+    det_sq = re * re + im * im
+    # Only a scalar quotient by 0.0 raises (ZeroDivisionError); arrays give nan or inf.
+    if isinstance(det_sq, float) and det_sq == 0.0:
+        raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
+    return h, det_sq
 
 
 def _require_finite(what: str, *values: EnergyLike) -> None:
@@ -212,7 +204,8 @@ def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
         at a scalar energy, or any transmittance is non-finite.
     """
     with np.errstate(all="ignore"):  # non-finite values raise below
-        t = _gf(p, _dets(p, eps)[1])
+        det_sq = _dets(p, eps)[1]  # hat_dets and its zero check precede the numerator
+        t = _gf_numerator(p) / det_sq
     _require_finite("GF transmittance", t)
     return t
 
@@ -329,11 +322,11 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
         raise PreconditionError("energy grid must be non-empty")
     with np.errstate(all="ignore"):  # non-finite values raise in _eo
         h, det_sq = _dets(p, grid)
-        t_gf = _gf(p, det_sq)
+        t_gf = _gf_numerator(p) / det_sq
         t_eo, gap = _eo(p, h, det_sq)
     diff = np.abs(t_gf - t_eo)
     if p.n > 1:
-        passes = _residuals((p.eps0 - grid).tolist(), -p.v, FLOAT, p.n, p.n)
+        passes = _residuals((p.eps0 - grid).tolist(), float(-p.v), FLOAT, p.n, p.n)
     else:
         passes = [([0.0], False)] * grid.size
     bridge = np.array([abs(values[0]) for values, _ in passes])
@@ -394,7 +387,7 @@ def spectrum(
             block = slice(start, start + _BLOCK)
             h, det_sq = _dets(p, grid[block])
             if t_gf is not None:
-                t_gf[block] = _gf(p, det_sq)
+                t_gf[block] = _gf_numerator(p) / det_sq
             if t_eo is not None:
                 t_eo[block] = _eo(p, h, det_sq)[0]
     return TransmissionSpectrum(

@@ -13,6 +13,7 @@ cofactor, and the residual of the nonlinear continuant identity
     beta**(2n-2) = A_{n-1}**2 - A_{n-2} * A_n,
 
 which ties the squared corner cofactor to three consecutive determinants.
+Every caller takes alpha and beta into a mode's arithmetic by ``_inputs``.
 The residual is checked modulo the Mersenne prime 2**61 - 1 first and
 computed exactly only when that check is nonzero: a reported zero means
 "zero mod 2**61 - 1", a nonzero value is exact.  The residual at one size n
@@ -26,8 +27,8 @@ pass of the linear recurrence ``_continuants``; a float sequence is never
 rescaled, and one that leaves the double range raises NumericalError.
 Residuals of many diagonals ``alpha`` with one ``beta`` (the bridge of
 ``transport.equivalence_report``, one alpha per energy) share one
-fingerprint pass: one common denominator, and ``beta**2``, the power of
-``beta`` and the kernel built once.
+fingerprint pass: one common denominator, and one ``_identity_gaps``
+factory, which builds ``beta**2``, the power of ``beta`` and the kernel once.
 """
 
 from __future__ import annotations
@@ -123,10 +124,16 @@ def _as_float(value: Scalar, name: str) -> float:
         raise ModeError(f"{name} lies beyond the double range that float mode needs") from None
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in (EXACT, FLOAT):
-        raise ModeError(f"unknown arithmetic mode {mode!r}")
-    return mode
+def _inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
+    """(alpha, beta) of ``m`` in the arithmetic of ``mode``: ints or Fractions, or floats.
+
+    Raises ModeError for an unknown mode and for inputs the mode cannot take.
+    """
+    if mode == EXACT:
+        return _as_exact(m.alpha, "alpha"), _as_exact(m.beta, "beta")
+    if mode == FLOAT:
+        return _as_float(m.alpha, "alpha"), _as_float(m.beta, "beta")
+    raise ModeError(f"unknown arithmetic mode {mode!r}")
 
 
 def _continuants(alpha, b2, n: int, modulus: int | None = None):
@@ -221,13 +228,7 @@ def det_sequence(m: SymToeplitzTridiag, mode: str = FLOAT) -> DetSequence:
         Float mode when some A_k leaves the double range; the message names
         the first such k.
     """
-    _check_mode(mode)
-    if mode == EXACT:
-        alpha = _as_exact(m.alpha, "alpha")
-        beta = _as_exact(m.beta, "beta")
-    else:
-        alpha = _as_float(m.alpha, "alpha")
-        beta = _as_float(m.beta, "beta")
+    alpha, beta = _inputs(m, mode)
     values = tuple(_continuants(alpha, beta * beta, m.n))
     if mode == FLOAT and not math.isfinite(values[-1]):
         k = next(k for k, value in enumerate(values) if not math.isfinite(value))
@@ -309,49 +310,40 @@ def corner_cofactor(m: SymToeplitzTridiag):
         ) from None
 
 
-def _identity_inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
-    """Validated (alpha, beta) of ``m`` for ``_residuals``."""
-    _check_mode(mode)
-    if m.n < 2:
-        raise DomainError("identity residual needs n >= 2")
-    if mode == EXACT:
-        return _as_exact(m.alpha, "alpha"), _as_exact(m.beta, "beta")
-    return m.alpha, m.beta
+def _identity_gaps(b2, n_max: int, n_min: int, modulus: int | None = None):
+    """The gaps of the identity at sizes n = n_min, ..., n_max, as a function of alpha.
 
-
-def _identity_gaps(alphas, b2, n_max: int, n_min: int, modulus: int | None = None):
-    """Yield, per alpha, the pairs (beta**(2n-2), beta**(2n-2) - (A_{n-1}**2 - A_{n-2} A_n)).
-
-    The pairs run over n = n_min, ..., n_max; ``b2`` is beta**2, shared by
-    every alpha, and ``n_min`` is 2 or ``n_max``.  A single size takes the
-    power and builds ``_continuant_kernel`` once for all alphas, then runs
-    the kernel per alpha, O(log n) operations each; every size from 2 takes
-    one ``_continuants`` pass per alpha, streamed.  With ``modulus``
-    both values are only congruent to the exact ones (the continuants and
-    the power are reduced, the difference is not).
+    ``gaps(alpha)`` gives the pairs (beta**(2n-2), beta**(2n-2) -
+    (A_{n-1}**2 - A_{n-2} A_n)), in order of n; ``b2`` is beta**2, shared by
+    every alpha, and ``n_min`` is 2 or ``n_max``.  For a single size the
+    power and ``_continuant_kernel`` are built here, once, and each alpha
+    pays only for the kernel, O(log n) operations; every size from 2 takes
+    one ``_continuants`` pass per alpha, streamed.  With ``modulus`` both
+    values are only congruent to the exact ones (the continuants and the
+    power are reduced, the difference is not).
     """
     if n_min == n_max:
         power = pow(b2, n_max - 1, modulus)
         kernel = _continuant_kernel(b2, n_max, modulus)
-        for alpha in alphas:
+
+        def one_size(alpha):
             a_n, a_n1, a_n2 = kernel(alpha, 0, 1)
-            yield [(power, power - (a_n1 * a_n1 - a_n2 * a_n))]
-        return
-    for alpha in alphas:
-        yield _every_size_gaps(alpha, b2, n_max, modulus)
+            return [(power, power - (a_n1 * a_n1 - a_n2 * a_n))]
 
+        return one_size
 
-def _every_size_gaps(alpha, b2, n_max: int, modulus: int | None):
-    """The pairs of ``_identity_gaps`` for n = 2, ..., n_max, from one recurrence pass."""
-    continuants = _continuants(alpha, b2, n_max, modulus)
-    a_n2, a_n1 = next(continuants), next(continuants)
-    power = 1
-    for a_n in continuants:
-        power *= b2
-        if modulus:
-            power %= modulus
-        yield power, power - (a_n1 * a_n1 - a_n2 * a_n)
-        a_n2, a_n1 = a_n1, a_n
+    def every_size(alpha):
+        continuants = _continuants(alpha, b2, n_max, modulus)
+        a_n2, a_n1 = next(continuants), next(continuants)
+        power = 1
+        for a_n in continuants:
+            power *= b2
+            if modulus:
+                power %= modulus
+            yield power, power - (a_n1 * a_n1 - a_n2 * a_n)
+            a_n2, a_n1 = a_n1, a_n
+
+    return every_size
 
 
 def _over_common_denominator(alphas, beta) -> tuple:
@@ -365,17 +357,18 @@ def _over_common_denominator(alphas, beta) -> tuple:
 def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
     """Identity residuals at sizes n = n_min, ..., n_max >= 2 from one exact continuant pass.
 
-    In float mode a nonzero residual whose quotient by beta**(2n-2) rounds
-    to 0.0 is reported as the smallest subnormal with the residual's sign,
-    so 0.0 always means an exactly zero residual.
+    ``alpha`` and ``beta`` are in the arithmetic of ``mode``, as ``_inputs``
+    gives them; the pass builds its own ``_identity_gaps``, without a
+    modulus.  In float mode a nonzero residual whose quotient by
+    beta**(2n-2) rounds to 0.0 is reported as the smallest subnormal with
+    the residual's sign, so 0.0 always means an exactly zero residual.
     """
     if mode == FLOAT:
         # Scale both doubles to integers over a common power-of-two denominator;
         # the identity is homogeneous of degree 2n-2, so the scale cancels.
         (alpha,), beta, _ = _over_common_denominator([alpha], beta)
-    (gaps,) = _identity_gaps([alpha], beta * beta, n_max, n_min)
     out = []
-    for power, residual in gaps:
+    for power, residual in _identity_gaps(beta * beta, n_max, n_min)(alpha):
         if mode == EXACT:
             out.append(residual)
         elif power == 0:
@@ -391,10 +384,11 @@ def _exact_residuals(alpha, beta, mode: str, n_max: int, n_min: int) -> list:
 def _residuals(alphas, beta, mode: str, n_max: int, n_min: int) -> list[tuple[list, bool]]:
     """Identity residuals at sizes n = n_min, ..., n_max >= 2 for each alpha of ``alphas``.
 
-    Returns one (residuals, exact) pair per alpha; ``exact`` tells whether
-    the exact pass ran.  ``n_min`` is 2 (every size, one recurrence pass) or
-    ``n_max`` (one size, by index doubling); the check and the exact pass
-    run the same kernel.
+    ``alphas`` and ``beta`` are in the arithmetic of ``mode``, as
+    ``_inputs`` gives them.  Returns one (residuals, exact) pair per alpha;
+    ``exact`` tells whether the exact pass ran.
+    ``n_min`` is 2 (every size, one recurrence pass) or ``n_max`` (one size,
+    by index doubling); the check and the exact pass run the same kernel.
 
     One fingerprint pass serves every alpha.  All alphas and ``beta`` are
     scaled to integers over one common denominator, and beta**2 (and, for
@@ -409,16 +403,13 @@ def _residuals(alphas, beta, mode: str, n_max: int, n_min: int) -> list[tuple[li
     values on its own.  A common denominator divisible by the prime leaves
     the check vacuous, so every alpha then takes the exact pass.
     """
-    if mode == FLOAT:
-        alphas = [_as_float(alpha, "alpha") for alpha in alphas]
-        beta = _as_float(beta, "beta")
     nums, b, den = _over_common_denominator(alphas, beta)
     p = _FINGERPRINT_PRIME
     size = n_max - n_min + 1
-    gaps = _identity_gaps([a % p for a in nums], b * b % p, n_max, n_min, p)
+    gaps = _identity_gaps(b * b % p, n_max, n_min, p)
     out = []
-    for alpha, residuals in zip(alphas, gaps):
-        if den % p and not any(residual % p for _, residual in residuals):
+    for alpha, num in zip(alphas, nums):
+        if den % p and not any(residual % p for _, residual in gaps(num % p)):
             if mode == FLOAT:
                 zero = 0.0
             elif isinstance(alpha, Fraction) or isinstance(beta, Fraction):
@@ -453,12 +444,15 @@ def identity_residual(m: SymToeplitzTridiag, mode: str = FLOAT):
     Raises
     ------
     DomainError
-        n < 2 (A_{n-2} undefined below the A_0 convention).
+        n < 2 (A_{n-2} undefined below the A_0 convention), unless the mode
+        is unknown.
     ModeError
-        Exact mode with inputs that are not integers or Fractions, or float
-        mode with an input beyond the double range.
+        An unknown mode; exact mode with inputs that are not integers or
+        Fractions, or float mode with an input beyond the double range.
     """
-    alpha, beta = _identity_inputs(m, mode)
+    if m.n < 2 and mode in (EXACT, FLOAT):
+        raise DomainError("identity residual needs n >= 2")
+    alpha, beta = _inputs(m, mode)
     [(values, _)] = _residuals([alpha], beta, mode, m.n, m.n)
     return values[0]
 
@@ -467,8 +461,10 @@ def identity_residuals(m: SymToeplitzTridiag, mode: str = FLOAT) -> list:
     """``identity_residual`` of the leading blocks of sizes n = 2, ..., m.n, in one pass.
 
     Zero mod 2**61 - 1 at every size gives zeros; otherwise every value is
-    exact.  Raises DomainError when m.n < 2, ModeError as ``identity_residual``.
+    exact.  Raises DomainError and ModeError as ``identity_residual``.
     """
-    alpha, beta = _identity_inputs(m, mode)
+    if m.n < 2 and mode in (EXACT, FLOAT):
+        raise DomainError("identity residual needs n >= 2")
+    alpha, beta = _inputs(m, mode)
     [(values, _)] = _residuals([alpha], beta, mode, m.n, 2)
     return values

@@ -128,8 +128,9 @@ def test_identity_json_format():
 ])
 def test_identity_exact_rows_match_per_size_library_calls(mode, alpha, beta, n_max, capsys):
     # The table reads every row from one n_max sequence; each cell must still
-    # print as the per-size calls give it, type included (3.0 makes cof_sq a
-    # float while the exact residual stays an int).
+    # print as the per-size calls give it, type included.  Exact mode takes an
+    # integral float as an int, as det_sequence does, so beta 3.0 gives the
+    # integer cof_sq of beta 3.
     argv = ["identity", "--alpha", alpha, "--beta", beta, "--n-max", str(n_max), "--mode", mode]
     assert cli.main(argv) == 0
     rows = [line for line in capsys.readouterr().out.splitlines()
@@ -138,7 +139,8 @@ def test_identity_exact_rows_match_per_size_library_calls(mode, alpha, beta, n_m
     for n, row in enumerate(rows, start=2):
         m = SymToeplitzTridiag(cli._number(alpha), cli._number(beta), n)
         seq = det_sequence(m, mode).values
-        cof = corner_cofactor(m)
+        cof = corner_cofactor(m if mode == FLOAT else SymToeplitzTridiag(
+            m.alpha, int(m.beta), n))
         expected = [n, (float(cof) if mode == FLOAT else cof) ** 2,
                     seq[n - 1] ** 2 - seq[n - 2] * seq[n], identity_residual(m, mode)]
         assert row == ",".join(map(repr, expected))
@@ -155,7 +157,7 @@ def test_identity_table_calls_det_sequence_once(mode, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--alpha", "2", "--beta", "3.0", "--n-max", "400"],
+    ["--alpha", "2", "--beta", "3.0", "--n-max", "400", "--mode", "float"],
     ["--alpha", "2", "--beta", "3", "--n-max", "400", "--mode", "float"],
 ])
 def test_identity_row_beyond_double_range_exits_1(argv, capsys):
@@ -164,6 +166,21 @@ def test_identity_row_beyond_double_range_exits_1(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "qwire: identity row n=325 leaves the double range\n"
+
+
+def test_identity_exact_mode_takes_integral_float_beta_as_int(capsys):
+    # Exact mode has no range limit: beta 3.0 is the int 3 there, so row
+    # 325 prints exactly, as it does for beta 3.
+    tables = []
+    for beta in ("3.0", "3"):
+        argv = ["identity", "--alpha", "3", "--beta", beta, "--n-max", "700", "--mode", "exact"]
+        assert cli.main(argv) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    float_beta, int_beta = tables
+    assert "# beta = 3.0" in float_beta and "# beta = 3" in int_beta
+    rows = [[line for line in table if not line.startswith("#")] for table in tables]
+    assert len(rows[0]) == 700
+    assert rows[0] == rows[1]
 
 
 def test_identity_sequence_beyond_double_range_exits_1(capsys):
@@ -498,6 +515,31 @@ def test_unknown_config_key_exits_2(tmp_path):
     cfg.write_text("alpha=3\nbeta=1\nn-max=4\nbogus=1\n")
     code, out, _ = run_text("identity", "--config", str(cfg))
     assert code == 2
+
+
+def test_config_value_of_wrong_type_exits_2_naming_it(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites=abc\n")
+    code, out, err = run_text("spectrum", "--config", str(cfg), "--eps0", "0", "--v", "1",
+                              "--gamma", "0.5", "--from", "-1", "--to", "1", "--points", "3")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "sites='abc'" in errors[0]
+
+
+def test_last_config_file_wins(tmp_path):
+    # argparse keeps the last --config, as it keeps the last of every flag.
+    first, last = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("alpha=3\nbeta=1\nn-max=2\n")
+    last.write_text("alpha=5\nbeta=1\nn-max=2\n")
+    for flags in (["--config", str(first), "--config", str(last)],
+                  [f"--config={first}", f"--config={last}"]):
+        code, out, _ = run_text("identity", *flags)
+        assert code == 0
+        assert "# alpha = 5" in out.splitlines()
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -416,6 +416,37 @@ def test_underflowing_bridge_residual_is_not_reported_as_zero(monkeypatch):
     assert abs(residual) == math.ulp(0.0)
 
 
+@pytest.mark.parametrize("broken", [False, True])
+def test_equivalence_report_takes_numpy_scalar_params_as_python_scalars(broken, monkeypatch):
+    # The bridge takes -v to a Python float before its common denominator;
+    # a numpy integer has no as_integer_ratio.  A broken kernel sends every
+    # energy through the exact pass too.
+    if broken:
+        real = tridiag_core._continuant_kernel
+
+        def plus_one(b2, n, modulus=None):
+            kernel = real(b2, n, modulus)
+
+            def shifted(alpha, zero, one):
+                a_n, a_n1, a_n2 = kernel(alpha, zero, one)
+                return a_n + 1, a_n1, a_n2
+
+            return shifted
+
+        monkeypatch.setattr(tridiag_core, "_continuant_kernel", plus_one)
+    grid = np.linspace(-2.5, 2.5, 17)
+    numpy_p = WireParams(n=12, eps0=np.float32(0.1), v=np.int64(1),
+                         gamma=np.float64(0.5), bandwidth=np.float64(2.0))
+    python_p = WireParams(n=12, eps0=float(np.float32(0.1)), v=1, gamma=0.5, bandwidth=2.0)
+    got, want = equivalence_report(numpy_p, grid), equivalence_report(python_p, grid)
+    for name in ("abs_diff", "hat_gap", "bridge_residual_rel"):
+        assert list(map(_bits, getattr(got, name))) == list(map(_bits, getattr(want, name)))
+    for name in ("max_abs_diff", "min_abs_hat_gap", "max_abs_hat_gap",
+                 "max_bridge_residual_rel", "bridge_exact_fallbacks"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name))
+    assert got.bridge_exact_fallbacks == (grid.size if broken else 0)
+
+
 def test_hat_dets_evaluated_once_per_call(monkeypatch):
     calls = []
 

@@ -307,9 +307,7 @@ P61 = 2 ** 61 - 1
 
 def _exact_reference(m, mode, n_min):
     """The exact pass alone, on the inputs identity_residual(s) would give it."""
-    alpha, beta = tridiag_core._identity_inputs(m, mode)
-    if mode == FLOAT:
-        alpha, beta = float(alpha), float(beta)
+    alpha, beta = tridiag_core._inputs(m, mode)
     return tridiag_core._exact_residuals(alpha, beta, mode, m.n, n_min)
 
 
@@ -455,7 +453,8 @@ def test_single_size_fingerprint_cost_is_logarithmic(n):
         _CountingInt.ops = _CountingInt.pows = 0
         alphas = [_CountingInt(a % P61) for a in nums]
         b2 = _CountingInt(b * b % P61)
-        gaps = list(tridiag_core._identity_gaps(alphas, b2, n, n, P61))
+        gaps_of = tridiag_core._identity_gaps(b2, n, n, P61)
+        gaps = [gaps_of(alpha) for alpha in alphas]
         assert _CountingInt.pows == 1
         assert _CountingInt.ops <= k * (8 * bits + 1) + 2 * bits + 8
         assert len(gaps) == k
