@@ -425,8 +425,10 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     ------
     NumericalError
         The corner cofactor ``v**(n-1)`` or the numerator
-        ``gamma**2 * cof**2`` leaves the double range, or ``|det C|**2``
-        underflows to 0 inside the window.
+        ``gamma**2 * cof**2`` leaves the double range, ``|det C|**2``
+        underflows to 0 inside the window, the padded window or its width
+        leaves the double range, or the quadrature returns a non-finite
+        value or error estimate.
     """
     if bias.mu_left == bias.mu_right:
         return CurrentResult(value=0.0, error_estimate=0.0, window=(bias.mu_left, bias.mu_right))
@@ -444,6 +446,11 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
         pad = 40.0 * temperature
         lo -= pad
         hi += pad
+        if not math.isfinite(hi - lo):  # also inf when an end itself overflowed
+            raise NumericalError(
+                f"the bias window padded by 40*T at temperature {temperature!r}, "
+                "or its width, leaves the double range"
+            )
 
     def integrand(e: float) -> float:
         c_n, c_n1, c_n2 = kernel(eps0 - e, 0.0, 1.0)
@@ -477,6 +484,11 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
         epsabs=_QUAD_EPSABS,
         epsrel=_QUAD_EPSREL,
     )
+    if not (math.isfinite(value) and math.isfinite(abserr)):
+        raise NumericalError(
+            f"the current quadrature at temperature {temperature!r} returned "
+            f"{value!r} with error estimate {abserr!r}"
+        )
     if bias.temperature == 0.0:
         value *= sign
     return CurrentResult(value=value, error_estimate=abserr, window=(lo, hi))

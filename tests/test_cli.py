@@ -393,6 +393,18 @@ def test_gf_numerator_overflow_exits_1_without_nan(command):
     assert err.count("qwire: ") == 1 and "GF numerator" in err and err.endswith("\n")
 
 
+@pytest.mark.parametrize("temperature", ["3e306", "5e306"])
+def test_current_window_beyond_double_range_exits_1_without_nan(temperature):
+    # 3e306 pads the window to +-1.2e308, whose width overflows; 5e306 pads past it.
+    code, out, err = run_text(
+        *current_args(mu_l="1", mu_r="-1", extra=("--temperature", temperature)),
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("qwire: ") == 1 and f"temperature {float(temperature)!r}" in err
+
+
 # --- evolve subcommand ---------------------------------------------------------------
 
 def test_evolve_columns_and_summary():
@@ -542,6 +554,51 @@ def test_last_config_file_wins(tmp_path):
         assert "# alpha = 5" in out.splitlines()
 
 
+@pytest.mark.parametrize("flag", ["--conf", "--c"])
+def test_abbreviated_config_flag_applies_the_file(tmp_path, flag):
+    # argparse takes any unique prefix of --config, so the file must apply as well.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=3\nbeta=1\nn-max=4\n")
+    code, out, err = run_text("identity", flag, str(cfg))
+    assert code == 0, err
+    assert "# n_max = 4" in out.splitlines()
+
+
+def test_config_without_value_reports_subcommand_usage_once():
+    code, out, err = run_text("identity", "--alpha", "3", "--beta", "1", "--n-max", "3",
+                              "--config")
+    assert code == 2
+    assert out == ""
+    assert err.count("usage:") == 1 and err.startswith("usage: qwire identity ")
+    assert "argument --config: expected one argument" in err
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # A config sets defaults and lifts `required` on its subparser; neither
+    # may reach a later call in the same process.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=3\nbeta=1\nn-max=4\n")
+    assert cli.main(["identity", "--config", str(cfg)]) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["identity", "--alpha", "3", "--n-max", "3"])
+    assert info.value.code == 2
+    assert "--beta" in capsys.readouterr().err
+    assert cli.main(["identity", "--config", str(cfg)]) == 0
+    assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize("command", ["identity", "spectrum", "current", "evolve"])
+def test_main_runs_the_module_level_command_function(command, monkeypatch):
+    # main looks cmd_* up when it dispatches, so a replacement (a monkeypatch,
+    # a tracing wrapper) runs instead of the function bound at import.
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args.command))
+    argv = next(args for args in GOLDEN_INVOCATIONS.values() if args[0] == command)
+    assert cli.main(argv) == 0
+    assert seen == [command]
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code, _, err = run_text("identity", "--config", str(tmp_path / "absent.cfg"),
                             "--alpha", "1", "--beta", "1", "--n-max", "2")
@@ -582,6 +639,51 @@ def test_wire_param_validation_exits_2():
     code, out, _ = run_text("spectrum", *spectrum_args(**{"--gamma": "-1"}))
     assert code == 2
     assert out == ""
+
+
+# --- help -----------------------------------------------------------------------------
+
+WIRE_FLAGS = ["-N SITES, --sites SITES", "--eps0 EPS0", "--v V", "--gamma GAMMA",
+              "--bandwidth BANDWIDTH"]
+OUTPUT_FLAGS = ["--config CONFIG", "--format {csv,json}", "--output OUTPUT"]
+COMMAND_HELP = {
+    "identity": ("continuant identity residuals over a range of sizes",
+                 ["--alpha ALPHA", "--beta BETA", "--n-max N_MAX", "--mode {exact,float}"]),
+    "spectrum": ("transmittance on an energy grid",
+                 [*WIRE_FLAGS, "--from E_MIN", "--to E_MAX", "--points POINTS",
+                  "--method {gf,eo,both}"]),
+    "current": ("Landauer current for a bias window",
+                [*WIRE_FLAGS, "--mu-l MU_L", "--mu-r MU_R", "--temperature TEMPERATURE"]),
+    "evolve": ("integrate the evolution-operator amplitudes",
+               [*WIRE_FLAGS, "--drive-energy DRIVE_ENERGY", "--dt DT", "--t-max T_MAX"]),
+}
+
+
+def help_text(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_top_level_help_names_every_subcommand(monkeypatch, capsys):
+    out = help_text(["-h"], monkeypatch, capsys)
+    assert "{identity,spectrum,current,evolve}" in out
+    rows = [line.split(maxsplit=1) for line in out.splitlines() if line.startswith("    ")]
+    assert rows == [[name, text] for name, (text, _) in COMMAND_HELP.items()]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+def test_subcommand_help_names_every_flag(command, monkeypatch, capsys):
+    out = help_text([command, "-h"], monkeypatch, capsys)
+    assert out.startswith(f"usage: qwire {command} [-h] ")
+    options = out.split("\noptions:\n", 1)[1]
+    flags = [line.strip().split("  ")[0] for line in options.splitlines()
+             if line.startswith("  -")]
+    assert flags == ["-h, --help", *COMMAND_HELP[command][1], *OUTPUT_FLAGS]
 
 
 # --- import graph -------------------------------------------------------------------

@@ -46,3 +46,15 @@ def test_every_private_top_level_name_is_referenced():
                 used.add(node.attr)
     assert len(defined) > 30
     assert sorted(defined - used) == []
+
+
+def test_package_reads_no_private_argparse_attribute():
+    # argparse's underscore names (such as _SubParsersAction) may change
+    # between Python versions; the CLI works through its public API.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}:{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id == "argparse"]
+    assert found == []

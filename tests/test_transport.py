@@ -736,6 +736,20 @@ def test_current_window_padding_at_finite_temperature():
     assert res.window[1] == pytest.approx(1.0 + 2.0)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n, mu, temperature, what", [
+    (3, 1.0, 3e306, "padded"),  # the padded ends fit, hi - lo = 2.4e308 does not
+    (3, 1.0, 5e306, "padded"),  # 40*T itself leaves the double range
+    # The ends fit, but the continuants overflow to inf - inf = nan out there.
+    (4, 1e200, 0.0, "quadrature"),
+])
+def test_current_beyond_double_range_raises_naming_temperature(n, mu, temperature, what):
+    p = WireParams(n=n, eps0=0.0, v=1.0, gamma=0.5)
+    with pytest.raises(NumericalError, match=what) as info:
+        landauer_current(p, BiasWindow(mu, -mu, temperature))
+    assert f"temperature {temperature!r}" in str(info.value)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("temperature", [0.0, 0.05])
 def test_current_matches_dense_grid(n, temperature):
