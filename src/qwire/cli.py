@@ -10,7 +10,9 @@ every flag; a ``--config`` before the subcommand is an argparse error.
 Exit codes: 0 success, 2 invalid arguments or parameters, 1 runtime failure.
 
 Each subcommand is one ``COMMANDS`` entry.  ``main`` lists every name but
-adds options only to the subcommand it runs.
+adds options only to the subcommand it runs.  The module loads only
+``tridiag_core`` and ``errors``; a command that needs numpy imports it when it
+runs, so ``identity``, help and argument errors never load numpy.
 """
 
 from __future__ import annotations
@@ -21,14 +23,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import tridiag_core, transport, time_domain
+from . import tridiag_core
 from .errors import NumericalError, QwireError
-from .tridiag_core import SymToeplitzTridiag
-from .transport import BiasWindow
-from .time_domain import IntegratorConfig
-from .wire_matrix import WireParams
 
 OUTPUT_DIR_ENV = "QWIRE_OUTPUT_DIR"
 SCHEMA_VERSION = 1
@@ -99,7 +95,9 @@ def _add_wire_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--bandwidth", type=float, default=1.0, help="lead band width (default 1)")
 
 
-def _wire_params(args: argparse.Namespace) -> WireParams:
+def _wire_params(args: argparse.Namespace):
+    from .wire_matrix import WireParams
+
     return WireParams(n=args.sites, eps0=args.eps0, v=args.v, gamma=args.gamma,
                       bandwidth=args.bandwidth)
 
@@ -162,7 +160,7 @@ def _json_text(command: str, fields: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _wire_meta(p: WireParams) -> list[tuple[str, object]]:
+def _wire_meta(p) -> list[tuple[str, object]]:
     return [
         ("sites", p.n), ("eps0", p.eps0), ("v", p.v), ("gamma", p.gamma),
         ("bandwidth", p.bandwidth), ("v_lead", p.v_lead),
@@ -173,7 +171,7 @@ def cmd_identity(args: argparse.Namespace) -> None:
     if args.n_max < 2:
         raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
     # A_k does not depend on the matrix size, so one n_max pass feeds every row.
-    m = SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=args.n_max)
+    m = tridiag_core.SymToeplitzTridiag(alpha=args.alpha, beta=args.beta, n=args.n_max)
     dets = tridiag_core.det_sequence(m, args.mode).values
     residuals = tridiag_core.identity_residuals(m, args.mode)
     # Float mode rounds beta**(n-1) as given, once (an int power is exact);
@@ -204,6 +202,8 @@ def cmd_identity(args: argparse.Namespace) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> None:
+    from . import transport
+
     p = _wire_params(args)
     spec = transport.spectrum(p, args.e_min, args.e_max, args.points, args.method)
     header = ["energy"]
@@ -238,8 +238,11 @@ def cmd_spectrum(args: argparse.Namespace) -> None:
 
 
 def cmd_current(args: argparse.Namespace) -> None:
+    from . import transport
+
     p = _wire_params(args)
-    bias = BiasWindow(mu_left=args.mu_l, mu_right=args.mu_r, temperature=args.temperature)
+    bias = transport.BiasWindow(mu_left=args.mu_l, mu_right=args.mu_r,
+                                temperature=args.temperature)
     result = transport.landauer_current(p, bias)
     if args.format == "json":
         _emit(args, _json_text("current", {
@@ -263,8 +266,12 @@ def cmd_current(args: argparse.Namespace) -> None:
 
 
 def cmd_evolve(args: argparse.Namespace) -> None:
+    import numpy as np
+
+    from . import time_domain
+
     p = _wire_params(args)
-    cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max)
+    cfg = time_domain.IntegratorConfig(dt=args.dt, t_max=args.t_max)
     traj = time_domain.integrate(p, args.drive_energy, cfg)
     meta = _wire_meta(p) + [
         ("drive_energy", args.drive_energy), ("dt", args.dt), ("t_max", args.t_max),

@@ -471,8 +471,8 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     # QUADPACK needs more subintervals than break points; only then is the
     # limit raised, so every other call keeps its exact arguments.
     limit = _QUAD_LIMIT + len(breaks) if len(breaks) >= _QUAD_LIMIT else _QUAD_LIMIT
-    # Imported here: identity, spectrum and evolve never integrate, so
-    # ``import qwire`` and those subcommands need only numpy.
+    # Imported here: only the current integrates, so the spectrum and evolve
+    # commands load numpy alone, and ``import qwire`` and identity neither.
     from scipy.integrate import quad
 
     value, abserr = quad(

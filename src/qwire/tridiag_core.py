@@ -34,12 +34,11 @@ factory, which builds ``beta**2``, the power of ``beta`` and the kernel once.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
-
-import numpy as np
 
 from .errors import DomainError, ModeError, NumericalError
 
@@ -65,7 +64,7 @@ class SymToeplitzTridiag:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
             raise ValueError(f"dimension must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"dimension must be >= 0, got {self.n}")
@@ -76,8 +75,10 @@ class SymToeplitzTridiag:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
-    def to_dense(self) -> np.ndarray:
-        """Assemble the matrix explicitly (empty (0, 0) array for n = 0)."""
+    def to_dense(self):
+        """Assemble the matrix as a numpy array (empty (0, 0) array for n = 0)."""
+        import numpy as np
+
         m = np.zeros((self.n, self.n))
         for i in range(self.n):
             m[i, i] = self.alpha
@@ -106,9 +107,9 @@ def _as_exact(value: Scalar, name: str) -> Union[int, Fraction]:
         raise ModeError(f"{name} must be a number, got bool")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy registers its scalar types
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         if float(value).is_integer():
             return int(value)
         raise ModeError(
@@ -298,9 +299,9 @@ def corner_cofactor(m: SymToeplitzTridiag):
     if m.n < 1:
         raise DomainError("corner cofactor needs n >= 1")
     beta = m.beta
-    if isinstance(beta, np.integer):
+    if isinstance(beta, numbers.Integral):
         beta = int(beta)
-    elif isinstance(beta, np.floating):
+    elif isinstance(beta, numbers.Real) and not isinstance(beta, Fraction):
         beta = float(beta)
     try:
         return beta ** (m.n - 1)

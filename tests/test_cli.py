@@ -717,3 +717,45 @@ def test_only_current_imports_scipy():
     assert codes == [0, 0, 0, 0]
     assert before == [] and after_three == []
     assert loaded_by_current  # the probe does see scipy once it is imported
+
+
+def test_import_identity_help_and_argument_errors_load_no_numpy():
+    # ``import qwire`` loads the package and its errors only; the identity
+    # command, help and argparse errors run on tridiag_core, without numpy.
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import qwire
+
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if m == "numpy" or m.startswith("qwire."))
+
+        after_import = loaded()
+        from qwire import cli
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in json.loads(sys.argv[1]):
+                try:
+                    codes.append(cli.main(argv))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+            after_four = loaded()
+            codes.append(cli.main(json.loads(sys.argv[2])))
+        print(json.dumps([codes, after_import, after_four, "numpy" in sys.modules]))
+    """)
+    identity = GOLDEN_INVOCATIONS["identity.csv"]
+    spectrum = GOLDEN_INVOCATIONS["spectrum.csv"]
+    no_gamma = spectrum[:7] + spectrum[9:]
+    four = [identity, identity[:-1] + ["float"], ["-h"], no_gamma]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(four), json.dumps(spectrum)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, after_import, after_four, loaded_by_spectrum = json.loads(proc.stdout)
+    assert "--gamma" not in no_gamma
+    assert codes == [0, 0, 0, 2, 0]
+    assert after_import == ["qwire.errors"]
+    assert "numpy" not in after_four
+    assert loaded_by_spectrum  # the probe does see numpy once it is imported

@@ -58,3 +58,33 @@ def test_package_reads_no_private_argparse_attribute():
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and isinstance(node.value, ast.Name) and node.value.id == "argparse"]
     assert found == []
+
+
+def _top_level_statements(body):
+    """Module-level statements, with the bodies of top-level ``if`` and ``try`` blocks."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from _top_level_statements(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            handlers = [stmt for handler in node.handlers for stmt in handler.body]
+            yield from _top_level_statements(
+                node.body + handlers + node.orelse + node.finalbody)
+
+
+def test_light_modules_import_no_numpy_or_scipy_at_module_level():
+    # ``import qwire`` and the identity command load only these modules; the
+    # numeric ones (and numpy) load on first use of their names.
+    found = []
+    for name in ("__init__.py", "errors.py", "tridiag_core.py", "cli.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        for node in _top_level_statements(tree.body):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] in ("numpy", "scipy") for m in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -240,6 +240,25 @@ def test_cofactor_numpy_beta_overflow_raises_numerical_error():
     assert corner_cofactor(SymToeplitzTridiag(1, np.int32(-3), 4)) == -27
 
 
+def test_exact_mode_takes_numpy_integers_as_python_ints():
+    # The module checks types with numbers.Integral and numbers.Real, with
+    # which numpy registers its scalar types; it imports no numpy itself.
+    m = SymToeplitzTridiag(np.int64(3), np.int64(1), np.int64(6))
+    values = det_sequence(m, EXACT).values
+    assert values == det_sequence(SymToeplitzTridiag(3, 1, 6), EXACT).values
+    assert [type(v) for v in values] == [int] * 7
+
+
+def test_exact_mode_takes_integral_numpy_float_and_rejects_the_rest():
+    m = SymToeplitzTridiag(np.float32(2.0), 1, 4)
+    assert det_sequence(m, EXACT).values == (1, 2, 3, 4, 5)
+    assert type(det(m, EXACT)) is int
+    with pytest.raises(ModeError, match="alpha"):
+        det_sequence(SymToeplitzTridiag(np.float32(2.5), 1, 4), EXACT)
+    with pytest.raises(ModeError, match="bool"):
+        det_sequence(SymToeplitzTridiag(True, 1, 4), EXACT)
+
+
 # --- nonlinear identity ---------------------------------------------------
 
 def test_identity_hand_case():
