@@ -21,6 +21,12 @@ combination is generically nonzero, i.e. the identity is doing real work.
 The check, its exact pass and ``hat_dets`` all reach the continuants by
 index doubling in one kernel, ``tridiag_core._continuant_kernel``, O(log n)
 per energy, so the bridge verifies the code that produces T.
+
+The Landauer current integrates T with ``scipy.integrate.quad`` at T = 0.
+At T > 0 it is instead a digamma sum over the n poles of the open wire,
+which the Chebyshev form of the continuants gives in O(n) with no power of
+v; the quadrature remains the fallback wherever that sum's guards or its
+rounding bound decline it (``landauer_current``).
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ _T_UPPER = 1.0 + 1e-9
 _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-10
 _QUAD_LIMIT = 200
+# Newton steps of ``_pole_angles``: 3 to 7 up to h = 0.95, and 12
+# still reach every pole of n <= 400 wires at h = 0.999999.
+_NEWTON_STEPS = 12
+# A theta step at most this small leaves a root error of order its square.
+_NEWTON_TOL = 1e-13
+_ROUNDOFF = 2.0 ** -53  # unit roundoff of a double
 # Energies per block of ``spectrum``.  A temporary of 4096 doubles (32 KB)
 # stays below glibc's mmap threshold (128 KB), so the allocator reuses its
 # pages from block to block instead of faulting fresh ones in; a block's
@@ -87,7 +99,15 @@ class BiasWindow:
 
 @dataclass(frozen=True)
 class CurrentResult:
-    """Landauer current with the integrator's error estimate and window."""
+    """Landauer current with its error estimate and integration window.
+
+    ``error_estimate`` depends on the route ``landauer_current`` took: at
+    T > 0 it is normally the pole sum's own rounding bound (at most 1e-10
+    of ``|value|``); at T = 0, and where the pole sum declines, it is
+    ``scipy.integrate.quad``'s absolute error estimate.  ``window`` is the
+    bias window at T = 0 and the bias window padded by 40 k_B T at T > 0, on
+    either route.
+    """
 
     value: float
     error_estimate: float
@@ -401,34 +421,150 @@ def chain_resonances(p: WireParams) -> np.ndarray:
     return p.eps0 + 2.0 * p.v * np.cos(m * np.pi / (p.n + 1))
 
 
+def _pole_angles(n: int, h: float) -> np.ndarray | None:
+    """theta_k, k = 1..n, with ``w = exp(i theta_k)`` the poles of an n-site open wire.
+
+    Newton on ``i n theta + log(w + ih) - log(1 + ihw) = i pi k`` from the
+    chain angles ``pi k/(n+1)`` (the roots at h = 0), all k at once; the
+    logs keep to their principal branches for h < 1 and |w| <= 1.  Returns
+    ``None`` when a step is still above ``_NEWTON_TOL`` after
+    ``_NEWTON_STEPS`` steps.
+    """
+    k = np.arange(1, n + 1)
+    theta = (math.pi / (n + 1)) * k + 0j
+    branch = (1j * math.pi) * k
+    ih = 1j * h
+    q = 1.0 + h * h
+    for _ in range(_NEWTON_STEPS):
+        w = np.exp(1j * theta)
+        a = w + ih
+        b = 1.0 + ih * w
+        step = (1j * n * theta + np.log(a) - np.log(b) - branch) / (1j * (n + q * w / (a * b)))
+        theta -= step
+        if np.abs(step).max() <= _NEWTON_TOL:
+            return theta
+    return None
+
+
+def _pole_current(p: WireParams, bias: BiasWindow) -> tuple[float, float] | None:
+    """The T > 0 current as a digamma sum over the n poles of the open wire.
+
+    With ``x = (eps0 - z)/(2|v|) = (w + 1/w)/2`` and ``h = gamma/(2|v|)``, the
+    Chebyshev form of the continuants closes ``det C`` with both lead corners:
+
+        (w - 1/w) det C(z) = |v|**n [w**(n-1) (w + ih)**2 - w**(-n-1) (1 + ihw)**2].
+
+    Its zeros with |w| < 1 are the poles ``lambda_j = eps0 - |v|(w + 1/w)``
+    (Im > 0) of ``G = (C**-1)_{1n} = sum_j a_j / (lambda_j - z)``, one per
+    chain mode k = 1..n (``_pole_angles``).  On a root
+    ``w**n (w + ih) = (-1)**k (1 + ihw)``, so the residue
+    ``a_j = sign(v)**(n-1) (-1)**k (w**2 - 1)**2 / (2w (n AB + (1 + h**2) w))``
+    (A = w + ih, B = 1 + ihw) and ``conj(G(conj lambda_j)) = sign(v)**(n-1)
+    (-1)**k AB / (2i gamma (1 + h**2) w)`` hold no power of v or w.  Then
+    ``T(e) = 2 gamma**2 Re sum_j a_j conj(G(conj lambda_j)) / (lambda_j - e)``
+    and each term integrates against f_L - f_R in closed form:
+
+        I = 2 gamma**2 Re sum_j a_j conj(G(conj lambda_j))
+            [psi(1/2 - i(lambda_j - mu_R)/(2 pi T)) - psi(1/2 - i(lambda_j - mu_L)/(2 pi T))].
+
+    The second value is a rounding bound, the sum of: 8 ulps of each
+    digamma value (the cancellation of the difference); the most a pole or
+    a potential off by 8 ulps of its scale moves each digamma value;
+    ``n + 16`` ulps of every term (their products and sum); and the
+    residue defect ``|sum_j a_j| / sum_j |a_j|`` (0 for n >= 2, since G
+    falls off as z**-n; ``a_1 = 1`` at n = 1) times the terms, which
+    catches a lost or doubled root.
+
+    Returns ``None``, so that the quadrature runs instead, when h >= 1 (from
+    h = 1, the superradiance transition of the open chain, two poles leave
+    the chain branches that the Newton starts follow), when Newton does not converge on n roots in the upper half-plane, or
+    when the sum is not finite or its bound exceeds ``_QUAD_EPSREL * |I|``.
+    The last also declines where the digamma differences cancel to below
+    their rounding: bias windows far outside the band, and temperatures far
+    above the bias.
+    """
+    n, g = p.n, p.gamma
+    av = abs(p.v)
+    h = 0.5 * g / av
+    if not h < 1.0:
+        return None
+    theta = _pole_angles(n, h)
+    if theta is None:
+        return None
+    w = np.exp(1j * theta)
+    ih = 1j * h
+    q = 1.0 + h * h
+    ab = (w + ih) * (1.0 + ih * w)
+    m = (w * w - 1.0) ** 2 / (2.0 * w * (n * ab + q * w))  # a_j up to its sign
+    t = m * ab / w * (g / (1j * q))  # 2 gamma**2 a_j conj(G(conj lambda_j))
+    lam = p.eps0 - av * (w + 1.0 / w)
+    if not lam.imag.min() > 0.0:
+        return None
+    from scipy.special import psi  # already loaded by scipy.integrate
+
+    # Row 0 of z holds the right lead's digamma arguments, row 1 the left's.
+    mu = np.array([[bias.mu_right], [bias.mu_left]])
+    z = 0.5 - (1j / (2.0 * math.pi * bias.temperature)) * (lam - mu)
+    psi_z = psi(z)
+    terms = t * (psi_z[0] - psi_z[1])
+    value = float(terms.sum().real)
+    size = float(np.abs(terms).sum())
+    defect = abs(complex(m[1::2].sum() - m[::2].sum()) - (n == 1)) / float(np.abs(m).sum())
+    abs_t = np.abs(t)
+    digamma = float((abs_t * np.abs(psi_z)).sum())
+    # A pole or a potential off by d moves psi(z) by at most |psi'(z)| d/(2 pi T),
+    # and |psi'(x + iy)| <= pi tanh(pi |y|) / (2|y|) for x >= 1/2.
+    y = np.maximum(np.abs(z.imag), 1e-300)
+    reach = abs(p.eps0) + 4.0 * av + np.abs(mu)
+    shift = float((abs_t * (np.tanh(math.pi * y) / y * reach)).sum()) / (4.0 * bias.temperature)
+    bound = _ROUNDOFF * (8.0 * (digamma + shift) + (n + 16) * size) + defect * size
+    if not (math.isfinite(value) and bound <= _QUAD_EPSREL * abs(value)):
+        return None
+    return value, bound
+
+
 def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     """Landauer current integral(f_L - f_R) * T(eps) deps, in units e = hbar = 1.
 
-    At temperature zero the integrand support is exactly the bias window; at
-    finite temperature the window is padded by 40 k_B T on both sides, beyond
-    which the occupation difference is below 1e-17.  Chain resonance energies
-    are passed to the quadrature as break points so narrow peaks are not
+    Two routes give the value; the temperature and the guards of
+    ``_pole_current`` pick one, and no option does.
+
+    - At T > 0 the current is first taken as a digamma sum over the n poles
+      of the open wire (``_pole_current``), in O(n) with no quadrature.
+      ``error_estimate`` is then that sum's own rounding bound, at most
+      ``_QUAD_EPSREL * |value|``.  Where a guard fails (h = gamma/(2|v|)
+      >= 1, Newton not converged on n poles, or a bound above that
+      tolerance), the quadrature below runs instead, with the Fermi
+      functions in its integrand.
+    - At T = 0, and wherever the pole sum declines, ``scipy.integrate.quad``
+      integrates the GF transmittance over the window, and
+      ``error_estimate`` is quad's absolute error estimate.
+
+    ``window`` is the integration range either way: the bias window at
+    T = 0, padded by 40 k_B T on both sides at T > 0, beyond which the
+    occupation difference is below 1e-17.  Chain resonance energies are
+    passed to the quadrature as break points so narrow peaks are not
     missed; when there are at least 200 of them (the subinterval limit), the
     limit is raised by their count.  Zero bias returns exactly 0.
 
-    T(eps) is the GF transmittance, built once per call: the numerator
-    ``gamma**2 * cof**2``, the corner constants and the continuant kernel
-    (``tridiag_core._continuant_kernel``, with the bits of n-1) are built
-    up front, so each quadrature evaluation pays only for arithmetic: the
-    kernel's about 8*log2(n) float operations, the corner split and the GF
-    quotient, written inline, and at T > 0 the two Fermi functions.  One
-    integrand serves both temperatures, so a quadrature point costs two
-    Python frames, the integrand and the kernel.  The values are
-    bit-identical to ``transmittance_gf(p, eps)``.
+    For the quadrature, T(eps) is the GF transmittance, built once per call:
+    the numerator ``gamma**2 * cof**2``, the corner constants and the
+    continuant kernel (``tridiag_core._continuant_kernel``, with the bits of
+    n-1) are built up front, so each quadrature evaluation pays only for
+    arithmetic: the kernel's about 8*log2(n) float operations, the corner
+    split and the GF quotient, written inline, and at T > 0 the two Fermi
+    functions.  One integrand serves both temperatures, so a quadrature
+    point costs two Python frames, the integrand and the kernel.  The values
+    are bit-identical to ``transmittance_gf(p, eps)``.
 
     Raises
     ------
     NumericalError
         The corner cofactor ``v**(n-1)`` or the numerator
-        ``gamma**2 * cof**2`` leaves the double range, ``|det C|**2``
-        underflows to 0 inside the window, the padded window or its width
-        leaves the double range, or the quadrature returns a non-finite
-        value or error estimate.
+        ``gamma**2 * cof**2`` leaves the double range (on both routes),
+        the padded window or its width leaves the double range,
+        ``|det C|**2`` underflows to 0 inside the window, or the quadrature
+        returns a non-finite value or error estimate.
     """
     if bias.mu_left == bias.mu_right:
         return CurrentResult(value=0.0, error_estimate=0.0, window=(bias.mu_left, bias.mu_right))
@@ -436,12 +572,8 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     hi = max(bias.mu_left, bias.mu_right)
     sign = 1.0 if bias.mu_left > bias.mu_right else -1.0
     num = _gf_numerator(p)
-    eps0, g = p.eps0, p.gamma
-    q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
-    kernel = _continuant_kernel(p.v * p.v, p.n)
     warm = bias.temperature > 0.0
     mu_left, mu_right, temperature = bias.mu_left, bias.mu_right, bias.temperature
-    tanh = math.tanh
     if warm:
         pad = 40.0 * temperature
         lo -= pad
@@ -451,6 +583,14 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
                 f"the bias window padded by 40*T at temperature {temperature!r}, "
                 "or its width, leaves the double range"
             )
+        with np.errstate(all="ignore"):  # a stray Newton iterate fails a guard instead
+            poles = _pole_current(p, bias)
+        if poles is not None:
+            return CurrentResult(value=poles[0], error_estimate=poles[1], window=(lo, hi))
+    eps0, g = p.eps0, p.gamma
+    q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
+    kernel = _continuant_kernel(p.v * p.v, p.n)
+    tanh = math.tanh
 
     def integrand(e: float) -> float:
         c_n, c_n1, c_n2 = kernel(eps0 - e, 0.0, 1.0)

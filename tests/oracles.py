@@ -1,12 +1,13 @@
 """Independent dense-matrix and closed-form oracles for the test suite.
 
 Everything here goes through explicitly assembled dense matrices and
-numpy's LU-based routines (row reduction with partial pivoting), or through
-hand-derived closed forms, never through the recurrence-based code paths
-under test.
+numpy's LU-based routines (row reduction with partial pivoting) or its dense
+eigensolver, or through hand-derived closed forms, never through the
+recurrence-based code paths under test.
 """
 
 import numpy as np
+from scipy.special import psi
 
 
 def dense_sym_tridiag(alpha, beta, n):
@@ -143,3 +144,57 @@ def current_dense_grid(p, mu_left, mu_right, temperature=0.0, points=40001):
         f = np.sign(mu_left - mu_right) * t
     h = (hi - lo) / (points - 1)
     return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+def current_pole_sum_dense(p, mu_left, mu_right, temperature=0.0):
+    """Landauer current as a sum over the eigenvalues of the dense wire matrix.
+
+    K = eps0*I - v*J + i*gamma/2 on both corner sites has eigenvalues lambda_j
+    (Im > 0) and, being complex symmetric, eigenvectors with V^T V = I, so
+    (C^-1)_{1,n} = ((K - e)^-1)_{1,n} = sum_j a_j / (lambda_j - e) with
+    a_j = V_{1j} V_{nj}.  With Gbar_j = sum_k conj(a_k) / (conj(lambda_k) - lambda_j),
+    T(e) = 2 gamma**2 Re sum_j a_j Gbar_j / (lambda_j - e), and the current is
+
+        2 gamma**2 Re sum_j a_j Gbar_j L_j,
+        L_j = log(lambda_j - mu_R) - log(lambda_j - mu_L)                   (T = 0),
+        L_j = psi(1/2 - i(lambda_j - mu_R)/(2 pi T))
+              - psi(1/2 - i(lambda_j - mu_L)/(2 pi T))                      (T > 0).
+
+    numpy's ``eig`` leaves errors of a few ulps times the eigenvector
+    condition, so each pair is refined by two steps of inverse iteration
+    with the complex-symmetric Rayleigh quotient x^T K x / x^T x; a refined
+    pair is kept only when it reduces the residual.  A narrow resonance has
+    Im lambda_j far below the ulp of ||K||, so its imaginary part is then
+    taken from x^H K x = lambda ||x||**2, whose imaginary part is
+    gamma/2 (|x_1|**2 + |x_n|**2): Gbar_j is dominated by
+    conj(a_j) / (-2i Im lambda_j) and needs Im lambda_j to a few ulps of
+    itself.  O(n**4), so keep n in the hundreds.
+    """
+    k = dense_wire_matrix(p, 0.0)
+    lam, vecs = np.linalg.eig(k)
+    eye = np.eye(p.n)
+    for j in range(p.n):
+        x = vecs[:, j] / np.linalg.norm(vecs[:, j])
+        best = np.linalg.norm(k @ x - lam[j] * x)
+        for _ in range(2):
+            rq = (x @ k @ x) / (x @ x)
+            try:
+                y = np.linalg.solve(k - rq * eye, x)
+            except np.linalg.LinAlgError:  # rq is an eigenvalue to working precision
+                break
+            x = y / np.linalg.norm(y)
+            rq = (x @ k @ x) / (x @ x)
+            residual = np.linalg.norm(k @ x - rq * x)
+            if residual < best:
+                best, lam[j], vecs[:, j] = residual, rq, x
+    weight = np.abs(vecs[0]) ** 2 + np.abs(vecs[-1]) ** 2  # 2|x_1|**2 at n = 1: both corners
+    lam = lam.real + 0.5j * p.gamma * weight / np.sum(np.abs(vecs) ** 2, axis=0)
+    vecs = vecs / np.sqrt(np.sum(vecs * vecs, axis=0))
+    a = vecs[0] * vecs[-1]
+    gbar = np.array([np.sum(np.conj(a) / (np.conj(lam) - l)) for l in lam])
+    if temperature > 0.0:
+        c = 1j / (2.0 * np.pi * temperature)
+        ell = psi(0.5 - c * (lam - mu_right)) - psi(0.5 - c * (lam - mu_left))
+    else:
+        ell = np.log(lam - mu_right) - np.log(lam - mu_left)
+    return float((2.0 * p.gamma ** 2 * np.sum(a * gbar * ell)).real)

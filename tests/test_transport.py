@@ -32,7 +32,12 @@ from qwire import (
     transmittance_gf,
 )
 
-from oracles import current_dense_grid, dense_transmittance, lorentzian_window_integral
+from oracles import (
+    current_dense_grid,
+    current_pole_sum_dense,
+    dense_transmittance,
+    lorentzian_window_integral,
+)
 
 
 def random_params(rng, n=None):
@@ -772,6 +777,11 @@ def test_current_more_resonances_than_subinterval_limit(monkeypatch):
     assert res.value == pytest.approx(oracle, rel=1e-4)
 
 
+def _quad_only(monkeypatch):
+    """Decline the T > 0 pole sum, so that landauer_current runs its quadrature."""
+    monkeypatch.setattr(transport, "_pole_current", lambda p, bias: None)
+
+
 def _plain_fermi(e, mu, temperature):
     return 0.5 - 0.5 * math.tanh(0.5 * (e - mu) / temperature)
 
@@ -836,7 +846,8 @@ def _plain_current(p, bias):
 ])
 @pytest.mark.parametrize("temperature", [0.0, 0.03])
 @pytest.mark.parametrize("forward", [True, False])
-def test_current_bit_identical_to_plain_quad(n, v, gamma, temperature, forward):
+def test_current_bit_identical_to_plain_quad(n, v, gamma, temperature, forward, monkeypatch):
+    _quad_only(monkeypatch)
     p = WireParams(n=n, eps0=0.13, v=v, gamma=gamma)
     mu = (0.13 + 1.3 * abs(v), 0.13 - 0.9 * abs(v))
     bias = BiasWindow(*(mu if forward else mu[::-1]), temperature)
@@ -849,6 +860,7 @@ def test_current_bit_identical_to_plain_quad(n, v, gamma, temperature, forward):
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_current_bit_identical_to_plain_quad_above_subinterval_limit(monkeypatch):
+    _quad_only(monkeypatch)
     monkeypatch.setattr(transport, "_QUAD_LIMIT", 10)
     p = WireParams(n=20, eps0=0.0, v=1.0, gamma=1.0)
     for bias in (BiasWindow(2.5, -2.5), BiasWindow(-2.5, 2.5, 0.02)):
@@ -859,6 +871,7 @@ def test_current_bit_identical_to_plain_quad_above_subinterval_limit(monkeypatch
 
 @pytest.mark.parametrize("temperature", [0.0, 0.03])
 def test_current_builds_continuant_kernel_once_per_call(monkeypatch, temperature):
+    _quad_only(monkeypatch)
     builds, evaluations = [], []
     real = transport._continuant_kernel
 
@@ -872,6 +885,135 @@ def test_current_builds_continuant_kernel_once_per_call(monkeypatch, temperature
     landauer_current(p, BiasWindow(1.0, -0.5, temperature))
     assert builds == [40]
     assert len(evaluations) > 100
+
+
+@pytest.mark.parametrize("n, v, gamma, mu, temperature", [
+    (5, 0.2, 0.5, 0.3, 0.03),  # h = gamma/(2|v|) = 1.25, past the transition at h = 1
+    (3, 1.0, 0.5, 1.0, 1e16),  # the digamma differences cancel to rounding
+])
+@pytest.mark.parametrize("forward", [True, False])
+def test_current_falls_back_to_plain_quad_on_its_own(n, v, gamma, mu, temperature, forward):
+    p = WireParams(n=n, eps0=0.0, v=v, gamma=gamma)
+    bias = BiasWindow(*((mu, -mu) if forward else (-mu, mu)), temperature)
+    assert transport._pole_current(p, bias) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # IntegrationWarning on the 4e17-wide window
+        res = landauer_current(p, bias)
+        value, abserr = _plain_current(p, bias)
+    assert (res.value.hex(), res.error_estimate.hex()) == (value.hex(), abserr.hex())
+
+
+def test_pole_sum_declines_a_doubled_pole(monkeypatch):
+    # Newton landing twice on one pole (and so missing another) leaves the
+    # residues summing to about a_j, not 0; the residue defect in the bound
+    # then exceeds the tolerance, and the quadrature runs.
+    p = WireParams(n=8, eps0=0.1, v=-0.8, gamma=0.5)
+    bias = BiasWindow(0.9, -1.1, 0.03)
+    assert transport._pole_current(p, bias) is not None
+    real = transport._pole_angles
+
+    def doubled(n, h):
+        theta = real(n, h)
+        theta[3] = theta[4]
+        return theta
+
+    monkeypatch.setattr(transport, "_pole_angles", doubled)
+    assert transport._pole_current(p, bias) is None
+
+
+def _assert_matches_pole_oracle(p, bias):
+    res = landauer_current(p, bias)
+    oracle = current_pole_sum_dense(p, bias.mu_left, bias.mu_right, bias.temperature)
+    assert math.isfinite(res.error_estimate)
+    assert abs(res.value - oracle) <= res.error_estimate
+    return res, oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    eps0=st.floats(-1.0, 1.0),
+    v=st.floats(0.1, 2.0),
+    v_sign=st.sampled_from([-1.0, 1.0]),
+    h=st.floats(0.005, 0.95),
+    centre=st.floats(-1.0, 1.0),
+    half_width=st.floats(0.05, 3.0),
+    temperature=st.floats(1e-3, 1.0),
+    forward=st.booleans(),
+)
+def test_current_matches_dense_pole_sum(n, eps0, v, v_sign, h, centre, half_width,
+                                        temperature, forward):
+    # Windows centred in the band, 2.5 % to 1.5 band widths wide; h up to
+    # 0.95, where two poles approach each other.  Far outside the band the
+    # current is a small remainder of O(1) terms, which the oracle's own
+    # rounding (about 1e-16 of them) no longer resolves.
+    p = WireParams(n=n, eps0=eps0, v=v_sign * v, gamma=2.0 * h * v)
+    mid, half = eps0 + 2.0 * v * centre, v * half_width
+    mu = (mid + half, mid - half) if forward else (mid - half, mid + half)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # IntegrationWarning, should the quadrature run
+        _assert_matches_pole_oracle(p, BiasWindow(*mu, temperature))
+
+
+@pytest.mark.parametrize("n, eps0, v, gamma, mu_left, mu_right, temperature", [
+    # The 40*T-padded window overflowed the continuants: quad returned nan.
+    (219, -0.129, -0.965, 0.972, 2.035, -1.938, 0.714),
+    # quad returned -0.72252465 with an error estimate of 7e-11.
+    (57, 0.98127, 0.67257, 0.81137, -0.55775, 1.05251, 0.70828),
+    # 226 chain resonances in the window: quad stops at its subinterval limit
+    # 1.6e-6 off with an estimate of 9.3e-3 at T = 0 (the log form here).
+    (226, 0.0, 1.0, 0.3, 2.2, -2.2, 0.0),
+    (226, 0.0, 1.0, 0.3, 2.2, -2.2, 1e-3),
+])
+def test_current_matches_dense_pole_sum_on_long_wires(n, eps0, v, gamma, mu_left, mu_right,
+                                                      temperature):
+    p = WireParams(n=n, eps0=eps0, v=v, gamma=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # IntegrationWarning at T = 0
+        res, oracle = _assert_matches_pole_oracle(p, BiasWindow(mu_left, mu_right, temperature))
+    if temperature > 0.0:
+        assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("temperature", [1e3, 1e4])
+def test_current_keeps_the_band_tails_far_above_the_bias(temperature):
+    # At T >> the band every pole contributes about Delta mu / (4T) times its
+    # weight, so 2T*I tends to the integral of T(e) over all energies,
+    # 1.47840 for this wire.  The quadrature over the (80*T + 2)-wide window
+    # sampled too sparsely to see the Lorentzian tails beyond the outermost
+    # resonances and gave 1.22171, the integral between +-sqrt(2) alone.
+    p = WireParams(n=3, eps0=0.0, v=1.0, gamma=0.5)
+    res, _ = _assert_matches_pole_oracle(p, BiasWindow(1.0, -1.0, temperature))
+    assert 2.0 * temperature * res.value == pytest.approx(1.478396, rel=1e-6)
+
+
+# Ordinary wires: h <= 0.9, n <= 300, windows overlapping the band.
+ORDINARY_WARM_WIRES = [
+    (1, 0.0, 1.0, 0.5, 0.3, -0.3, 0.01),
+    (2, 0.1, -0.7, 0.3, 0.8, -0.5, 0.05),
+    (7, 0.13, 0.7, 0.7, 0.9, -0.6, 0.03),
+    (40, 0.13, -0.7, 1.26, 1.0, -0.5, 0.03),
+    (95, -0.3, 1.2, 0.1, -0.2, 0.4, 0.005),
+    (150, 0.2, 0.5, 0.9, 0.1, 0.15, 0.1),
+    (226, 0.13, 0.7, 0.2, -1.0, 1.2, 0.03),
+    (300, 0.0, -1.0, 1.8, 2.5, -2.5, 0.02),
+]
+
+
+@pytest.mark.parametrize("n, eps0, v, gamma, mu_left, mu_right, temperature",
+                         ORDINARY_WARM_WIRES)
+def test_ordinary_warm_currents_never_reach_the_quadrature(
+        n, eps0, v, gamma, mu_left, mu_right, temperature, monkeypatch):
+    # A guard that declined these would give back the whole gain, silently.
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad ran for an ordinary wire at T > 0")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    p = WireParams(n=n, eps0=eps0, v=v, gamma=gamma)
+    res = landauer_current(p, BiasWindow(mu_left, mu_right, temperature))
+    assert 0.0 < res.error_estimate <= transport._QUAD_EPSREL * abs(res.value)
 
 
 def test_bias_window_validation():
