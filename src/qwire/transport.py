@@ -22,11 +22,11 @@ The check, its exact pass and ``hat_dets`` all reach the continuants by
 index doubling in one kernel, ``tridiag_core._continuant_kernel``, O(log n)
 per energy, so the bridge verifies the code that produces T.
 
-The Landauer current integrates T with ``scipy.integrate.quad`` at T = 0.
-At T > 0 it is instead a digamma sum over the n poles of the open wire,
-which the Chebyshev form of the continuants gives in O(n) with no power of
-v; the quadrature remains the fallback wherever that sum's guards or its
-rounding bound decline it (``landauer_current``).
+The Landauer current is a sum over the n poles of the open wire, which the
+Chebyshev form of the continuants gives in O(n) with no power of v: of log
+potentials at T = 0 and of digamma potentials at T > 0.  At either
+temperature ``scipy.integrate.quad`` over T remains the fallback wherever
+that sum's guards or its rounding bound decline it (``landauer_current``).
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class CurrentResult:
     """Landauer current with its error estimate and integration window.
 
     ``error_estimate`` depends on the route ``landauer_current`` took: at
-    T > 0 it is normally the pole sum's own rounding bound (at most 1e-10
-    of ``|value|``); at T = 0, and where the pole sum declines, it is
+    every temperature it is normally the pole sum's own rounding bound (at
+    most 1e-10 of ``|value|``); where the pole sum declines, it is
     ``scipy.integrate.quad``'s absolute error estimate.  ``window`` is the
     bias window at T = 0 and the bias window padded by 40 k_B T at T > 0, on
     either route.
@@ -447,7 +447,7 @@ def _pole_angles(n: int, h: float) -> np.ndarray | None:
 
 
 def _pole_current(p: WireParams, bias: BiasWindow) -> tuple[float, float] | None:
-    """The T > 0 current as a digamma sum over the n poles of the open wire.
+    """The current as a sum over the n poles of the open wire, at any temperature.
 
     With ``x = (eps0 - z)/(2|v|) = (w + 1/w)/2`` and ``h = gamma/(2|v|)``, the
     Chebyshev form of the continuants closes ``det C`` with both lead corners:
@@ -460,31 +460,40 @@ def _pole_current(p: WireParams, bias: BiasWindow) -> tuple[float, float] | None
     ``w**n (w + ih) = (-1)**k (1 + ihw)``, so the residue
     ``a_j = sign(v)**(n-1) (-1)**k (w**2 - 1)**2 / (2w (n AB + (1 + h**2) w))``
     (A = w + ih, B = 1 + ihw) and ``conj(G(conj lambda_j)) = sign(v)**(n-1)
-    (-1)**k AB / (2i gamma (1 + h**2) w)`` hold no power of v or w.  Then
+    (-1)**k AB / (2i gamma (1 + h**2) w)`` hold no power of v or w.  At
+    n = 1, where v does not enter G, ``max(|v|, gamma)`` stands for |v|.  Then
     ``T(e) = 2 gamma**2 Re sum_j a_j conj(G(conj lambda_j)) / (lambda_j - e)``
     and each term integrates against f_L - f_R in closed form:
 
-        I = 2 gamma**2 Re sum_j a_j conj(G(conj lambda_j))
-            [psi(1/2 - i(lambda_j - mu_R)/(2 pi T)) - psi(1/2 - i(lambda_j - mu_L)/(2 pi T))].
+        I = 2 gamma**2 Re sum_j a_j conj(G(conj lambda_j)) [P_j(mu_R) - P_j(mu_L)],
+
+    with the potential ``P_j(mu) = psi(1/2 - i(lambda_j - mu)/(2 pi T))`` at
+    T > 0 and its T -> 0 limit ``P_j(mu) = log(lambda_j - mu)`` at T = 0,
+    the integral of 1/(lambda_j - e) over the bias window.  Only the
+    potentials depend on T; at T = 0 the sum needs numpy alone.
 
     The second value is a rounding bound, the sum of: 8 ulps of each
-    digamma value (the cancellation of the difference); the most a pole or
-    a potential off by 8 ulps of its scale moves each digamma value;
-    ``n + 16`` ulps of every term (their products and sum); and the
-    residue defect ``|sum_j a_j| / sum_j |a_j|`` (0 for n >= 2, since G
-    falls off as z**-n; ``a_1 = 1`` at n = 1) times the terms, which
-    catches a lost or doubled root.
+    potential (the cancellation of the difference); the most a pole or a
+    potential off by 8 ulps of its scale moves each potential, through
+    ``|psi'(x + iy)| <= pi tanh(pi |y|)/(2|y|)`` for x >= 1/2 at T > 0 and
+    ``1/|lambda_j - mu|`` at T = 0; ``n + 16`` ulps of every term (their
+    products and sum); and the residue defect ``|sum_j a_j| / sum_j |a_j|``
+    (0 for n >= 2, since G falls off as z**-n; ``a_1 = 1`` at n = 1) times
+    the terms, which catches a lost or doubled root.
 
     Returns ``None``, so that the quadrature runs instead, when h >= 1 (from
     h = 1, the superradiance transition of the open chain, two poles leave
-    the chain branches that the Newton starts follow), when Newton does not converge on n roots in the upper half-plane, or
-    when the sum is not finite or its bound exceeds ``_QUAD_EPSREL * |I|``.
-    The last also declines where the digamma differences cancel to below
-    their rounding: bias windows far outside the band, and temperatures far
-    above the bias.
+    the chain branches that the Newton starts follow), when Newton does not
+    converge on n roots in the upper half-plane, or when the sum is not
+    finite or its bound exceeds ``_QUAD_EPSREL * |I|``.  The last also
+    declines where the potential differences cancel to below their
+    rounding: bias windows far outside the band, and temperatures far above
+    the bias.
     """
     n, g = p.n, p.gamma
-    av = abs(p.v)
+    # v does not enter a one-site G = 1/(eps0 + i gamma - z), so any unit
+    # |v| > gamma/2 serves there; the larger of |v| and gamma keeps h <= 1/2.
+    av = abs(p.v) if n > 1 else max(abs(p.v), g)
     h = 0.5 * g / av
     if not h < 1.0:
         return None
@@ -500,24 +509,32 @@ def _pole_current(p: WireParams, bias: BiasWindow) -> tuple[float, float] | None
     lam = p.eps0 - av * (w + 1.0 / w)
     if not lam.imag.min() > 0.0:
         return None
-    from scipy.special import psi  # already loaded by scipy.integrate
-
-    # Row 0 of z holds the right lead's digamma arguments, row 1 the left's.
+    # Row 0 holds the right lead's potentials of the poles, row 1 the left's.
     mu = np.array([[bias.mu_right], [bias.mu_left]])
-    z = 0.5 - (1j / (2.0 * math.pi * bias.temperature)) * (lam - mu)
-    psi_z = psi(z)
-    terms = t * (psi_z[0] - psi_z[1])
+    temperature = bias.temperature
+    if temperature > 0.0:
+        from scipy.special import psi
+
+        z = 0.5 - (1j / (2.0 * math.pi * temperature)) * (lam - mu)
+        pot = psi(z)
+        # |psi'(x + iy)| <= pi tanh(pi |y|) / (2|y|) for x >= 1/2, and dz/dlambda
+        # is 1/(2 pi T).
+        y = np.maximum(np.abs(z.imag), 1e-300)
+        slope = np.tanh(math.pi * y) / y / (4.0 * temperature)
+    else:
+        offset = lam - mu
+        pot = np.log(offset)
+        slope = 1.0 / np.abs(offset)
+    terms = t * (pot[0] - pot[1])
     value = float(terms.sum().real)
     size = float(np.abs(terms).sum())
     defect = abs(complex(m[1::2].sum() - m[::2].sum()) - (n == 1)) / float(np.abs(m).sum())
     abs_t = np.abs(t)
-    digamma = float((abs_t * np.abs(psi_z)).sum())
-    # A pole or a potential off by d moves psi(z) by at most |psi'(z)| d/(2 pi T),
-    # and |psi'(x + iy)| <= pi tanh(pi |y|) / (2|y|) for x >= 1/2.
-    y = np.maximum(np.abs(z.imag), 1e-300)
+    potential = float((abs_t * np.abs(pot)).sum())
+    # A pole or a potential off by d moves its potential by at most slope * d.
     reach = abs(p.eps0) + 4.0 * av + np.abs(mu)
-    shift = float((abs_t * (np.tanh(math.pi * y) / y * reach)).sum()) / (4.0 * bias.temperature)
-    bound = _ROUNDOFF * (8.0 * (digamma + shift) + (n + 16) * size) + defect * size
+    shift = float((abs_t * (slope * reach)).sum())
+    bound = _ROUNDOFF * (8.0 * (potential + shift) + (n + 16) * size) + defect * size
     if not (math.isfinite(value) and bound <= _QUAD_EPSREL * abs(value)):
         return None
     return value, bound
@@ -526,23 +543,23 @@ def _pole_current(p: WireParams, bias: BiasWindow) -> tuple[float, float] | None
 def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     """Landauer current integral(f_L - f_R) * T(eps) deps, in units e = hbar = 1.
 
-    Two routes give the value; the temperature and the guards of
-    ``_pole_current`` pick one, and no option does.
+    Two routes give the value; the guards of ``_pole_current`` pick one,
+    and no option does.
 
-    - At T > 0 the current is first taken as a digamma sum over the n poles
-      of the open wire (``_pole_current``), in O(n) with no quadrature.
+    - The current is first taken as a sum over the n poles of the open wire
+      (``_pole_current``), in O(n) with no quadrature, at every
+      temperature: log potentials at T = 0, digamma potentials at T > 0.
       ``error_estimate`` is then that sum's own rounding bound, at most
-      ``_QUAD_EPSREL * |value|``.  Where a guard fails (h = gamma/(2|v|)
-      >= 1, Newton not converged on n poles, or a bound above that
-      tolerance), the quadrature below runs instead, with the Fermi
-      functions in its integrand.
-    - At T = 0, and wherever the pole sum declines, ``scipy.integrate.quad``
-      integrates the GF transmittance over the window, and
-      ``error_estimate`` is quad's absolute error estimate.
+      ``_QUAD_EPSREL * |value|``.
+    - Where a guard fails (h = gamma/(2|v|) >= 1 with n >= 2, Newton not
+      converged on n poles, or a bound above that tolerance),
+      ``scipy.integrate.quad`` integrates the GF transmittance over the
+      window instead, with the Fermi functions in its integrand at T > 0,
+      and ``error_estimate`` is quad's absolute error estimate.
 
-    ``window`` is the integration range either way: the bias window at
-    T = 0, padded by 40 k_B T on both sides at T > 0, beyond which the
-    occupation difference is below 1e-17.  Chain resonance energies are
+    ``window`` is the same on either route: the bias window at T = 0,
+    padded by 40 k_B T on both sides at T > 0, beyond which the occupation
+    difference is below 1e-17.  Chain resonance energies are
     passed to the quadrature as break points so narrow peaks are not
     missed; when there are at least 200 of them (the subinterval limit), the
     limit is raised by their count.  Zero bias returns exactly 0.
@@ -583,10 +600,10 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
                 f"the bias window padded by 40*T at temperature {temperature!r}, "
                 "or its width, leaves the double range"
             )
-        with np.errstate(all="ignore"):  # a stray Newton iterate fails a guard instead
-            poles = _pole_current(p, bias)
-        if poles is not None:
-            return CurrentResult(value=poles[0], error_estimate=poles[1], window=(lo, hi))
+    with np.errstate(all="ignore"):  # a stray Newton iterate fails a guard instead
+        poles = _pole_current(p, bias)
+    if poles is not None:
+        return CurrentResult(value=poles[0], error_estimate=poles[1], window=(lo, hi))
     eps0, g = p.eps0, p.gamma
     q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
     kernel = _continuant_kernel(p.v * p.v, p.n)

@@ -1,6 +1,7 @@
 """Command-line interface: golden regressions, exit codes, formats, config."""
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -66,6 +67,17 @@ def test_golden_outputs_byte_identical(name):
     proc = run_cli(*GOLDEN_INVOCATIONS[name])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_golden_current_lies_within_its_bound_of_the_arctangent():
+    # One site: T(e) = gamma**2 / (e**2 + gamma**2), so the current over
+    # mu = -+2 is -2 gamma atan(2/gamma), negative since mu_left < mu_right.
+    payload = json.loads((GOLDEN / "current.json").read_bytes())
+    gamma = payload["params"]["gamma"]
+    assert payload["bias"]["mu_left"] == -2.0 and payload["bias"]["mu_right"] == 2.0
+    exact = -2.0 * gamma * math.atan(2.0 / gamma)
+    assert 0.0 < payload["error_estimate"] <= 1e-10 * abs(exact)
+    assert abs(payload["value"] - exact) <= payload["error_estimate"]
 
 
 def test_repeated_invocations_are_deterministic():
@@ -393,6 +405,18 @@ def test_gf_numerator_overflow_exits_1_without_nan(command):
     assert err.count("qwire: ") == 1 and "GF numerator" in err and err.endswith("\n")
 
 
+def test_current_on_a_long_wire_exits_0_without_a_quadrature_warning():
+    # 226 chain resonances in the window: the quadrature stopped at its
+    # subinterval limit 1.6e-6 off and printed scipy's IntegrationWarning.
+    code, out, err = run_text(
+        "current", "-N", "226", "--eps0", "0", "--v", "1", "--gamma", "0.3",
+        "--mu-l", "2.2", "--mu-r", "-2.2",
+    )
+    assert code == 0
+    assert err == ""
+    assert abs(json.loads(out)["value"] - 0.9217386758698661) <= 1e-12
+
+
 @pytest.mark.parametrize("temperature", ["3e306", "5e306"])
 def test_current_window_beyond_double_range_exits_1_without_nan(temperature):
     # 3e306 pads the window to +-1.2e308, whose width overflows; 5e306 pads past it.
@@ -689,8 +713,9 @@ def test_subcommand_help_names_every_flag(command, monkeypatch, capsys):
 # --- import graph -------------------------------------------------------------------
 
 def test_only_current_imports_scipy():
-    # scipy serves only the Landauer quadrature; the other subcommands and
-    # ``import qwire`` itself must not load it.
+    # scipy serves only the Landauer quadrature and the digamma potentials of
+    # T > 0 currents; the other subcommands, ``import qwire`` itself and a
+    # T = 0 current on the pole sum (the golden) must not load it.
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import qwire
@@ -702,21 +727,24 @@ def test_only_current_imports_scipy():
         before = scipy_modules()
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-            after_three = scipy_modules()
+            after_four = scipy_modules()
             codes.append(cli.main(json.loads(sys.argv[2])))
-        print(json.dumps([codes, before, after_three, "scipy.integrate" in sys.modules]))
+        print(json.dumps([codes, before, after_four, "scipy.integrate" in sys.modules]))
     """)
-    others = [GOLDEN_INVOCATIONS[name] for name in ("identity.csv", "spectrum.csv", "evolve.csv")]
+    goldens = [GOLDEN_INVOCATIONS[name]
+               for name in ("identity.csv", "spectrum.csv", "evolve.csv", "current.json")]
+    # h = gamma/(2|v|) = 1.25: the pole sum declines and the quadrature runs.
+    quadrature = ["current", "-N", "5", "--eps0", "0", "--v", "0.2", "--gamma", "0.5",
+                  "--mu-l", "0.3", "--mu-r", "-0.3"]
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(others),
-         json.dumps(GOLDEN_INVOCATIONS["current.json"])],
+        [sys.executable, "-c", script, json.dumps(goldens), json.dumps(quadrature)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, before, after_three, loaded_by_current = json.loads(proc.stdout)
-    assert codes == [0, 0, 0, 0]
-    assert before == [] and after_three == []
-    assert loaded_by_current  # the probe does see scipy once it is imported
+    codes, before, after_four, loaded_by_quadrature = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0, 0]
+    assert before == [] and after_four == []
+    assert loaded_by_quadrature  # the probe does see scipy once it is imported
 
 
 def test_import_identity_help_and_argument_errors_load_no_numpy():

@@ -746,9 +746,14 @@ def test_current_window_padding_at_finite_temperature():
     (3, 1.0, 3e306, "padded"),  # the padded ends fit, hi - lo = 2.4e308 does not
     (3, 1.0, 5e306, "padded"),  # 40*T itself leaves the double range
     # The ends fit, but the continuants overflow to inf - inf = nan out there.
+    # The pole sum now takes this current, so the quadrature's nan guard is
+    # tested with the sum declined.
     (4, 1e200, 0.0, "quadrature"),
 ])
-def test_current_beyond_double_range_raises_naming_temperature(n, mu, temperature, what):
+def test_current_beyond_double_range_raises_naming_temperature(n, mu, temperature, what,
+                                                               monkeypatch):
+    if what == "quadrature":
+        _quad_only(monkeypatch)
     p = WireParams(n=n, eps0=0.0, v=1.0, gamma=0.5)
     with pytest.raises(NumericalError, match=what) as info:
         landauer_current(p, BiasWindow(mu, -mu, temperature))
@@ -768,6 +773,7 @@ def test_current_matches_dense_grid(n, temperature):
 def test_current_more_resonances_than_subinterval_limit(monkeypatch):
     # All 20 chain resonances lie in the window, at least the limit of 10:
     # the subinterval limit is raised instead of quad rejecting the input.
+    _quad_only(monkeypatch)
     monkeypatch.setattr(transport, "_QUAD_LIMIT", 10)
     p = WireParams(n=20, eps0=0.0, v=1.0, gamma=1.0)
     res = landauer_current(p, BiasWindow(2.5, -2.5))
@@ -778,7 +784,7 @@ def test_current_more_resonances_than_subinterval_limit(monkeypatch):
 
 
 def _quad_only(monkeypatch):
-    """Decline the T > 0 pole sum, so that landauer_current runs its quadrature."""
+    """Decline the pole sum, so that landauer_current runs its quadrature at any T."""
     monkeypatch.setattr(transport, "_pole_current", lambda p, bias: None)
 
 
@@ -889,6 +895,7 @@ def test_current_builds_continuant_kernel_once_per_call(monkeypatch, temperature
 
 @pytest.mark.parametrize("n, v, gamma, mu, temperature", [
     (5, 0.2, 0.5, 0.3, 0.03),  # h = gamma/(2|v|) = 1.25, past the transition at h = 1
+    (5, 0.2, 0.5, 0.3, 0.0),
     (3, 1.0, 0.5, 1.0, 1e16),  # the digamma differences cancel to rounding
 ])
 @pytest.mark.parametrize("forward", [True, False])
@@ -908,8 +915,8 @@ def test_pole_sum_declines_a_doubled_pole(monkeypatch):
     # residues summing to about a_j, not 0; the residue defect in the bound
     # then exceeds the tolerance, and the quadrature runs.
     p = WireParams(n=8, eps0=0.1, v=-0.8, gamma=0.5)
-    bias = BiasWindow(0.9, -1.1, 0.03)
-    assert transport._pole_current(p, bias) is not None
+    biases = [BiasWindow(0.9, -1.1, 0.03), BiasWindow(0.9, -1.1)]
+    assert all(transport._pole_current(p, bias) is not None for bias in biases)
     real = transport._pole_angles
 
     def doubled(n, h):
@@ -918,7 +925,7 @@ def test_pole_sum_declines_a_doubled_pole(monkeypatch):
         return theta
 
     monkeypatch.setattr(transport, "_pole_angles", doubled)
-    assert transport._pole_current(p, bias) is None
+    assert all(transport._pole_current(p, bias) is None for bias in biases)
 
 
 def _assert_matches_pole_oracle(p, bias):
@@ -938,7 +945,7 @@ def _assert_matches_pole_oracle(p, bias):
     h=st.floats(0.005, 0.95),
     centre=st.floats(-1.0, 1.0),
     half_width=st.floats(0.05, 3.0),
-    temperature=st.floats(1e-3, 1.0),
+    temperature=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
     forward=st.booleans(),
 )
 def test_current_matches_dense_pole_sum(n, eps0, v, v_sign, h, centre, half_width,
@@ -960,19 +967,16 @@ def test_current_matches_dense_pole_sum(n, eps0, v, v_sign, h, centre, half_widt
     (219, -0.129, -0.965, 0.972, 2.035, -1.938, 0.714),
     # quad returned -0.72252465 with an error estimate of 7e-11.
     (57, 0.98127, 0.67257, 0.81137, -0.55775, 1.05251, 0.70828),
-    # 226 chain resonances in the window: quad stops at its subinterval limit
-    # 1.6e-6 off with an estimate of 9.3e-3 at T = 0 (the log form here).
+    # 226 chain resonances in the window: quad stopped at its subinterval
+    # limit, 1.6e-6 off with an estimate of 9.3e-3 at T = 0.
     (226, 0.0, 1.0, 0.3, 2.2, -2.2, 0.0),
     (226, 0.0, 1.0, 0.3, 2.2, -2.2, 1e-3),
 ])
 def test_current_matches_dense_pole_sum_on_long_wires(n, eps0, v, gamma, mu_left, mu_right,
                                                       temperature):
     p = WireParams(n=n, eps0=eps0, v=v, gamma=gamma)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # IntegrationWarning at T = 0
-        res, oracle = _assert_matches_pole_oracle(p, BiasWindow(mu_left, mu_right, temperature))
-    if temperature > 0.0:
-        assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
+    res, oracle = _assert_matches_pole_oracle(p, BiasWindow(mu_left, mu_right, temperature))
+    assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
 
 
 @pytest.mark.parametrize("temperature", [1e3, 1e4])
@@ -985,6 +989,43 @@ def test_current_keeps_the_band_tails_far_above_the_bias(temperature):
     p = WireParams(n=3, eps0=0.0, v=1.0, gamma=0.5)
     res, _ = _assert_matches_pole_oracle(p, BiasWindow(1.0, -1.0, temperature))
     assert 2.0 * temperature * res.value == pytest.approx(1.478396, rel=1e-6)
+
+
+# The integral of T(e) over all energies does not depend on n for this
+# choice of eps0, v and gamma.
+TOTAL_INTEGRAL = 1.4783965428657
+
+
+@pytest.mark.parametrize("n, mu", [(3, 1e5), (8, 1e3), (4, 1e100), (4, 1e200)])
+@pytest.mark.parametrize("forward", [True, False])
+def test_current_keeps_the_band_tails_on_wide_cold_windows(n, mu, forward):
+    # The quadrature sampled these windows too sparsely to see the tails
+    # beyond the outermost resonances: 1.2217 at n = 3, 1.4516 at n = 8 and
+    # 1.3390 at n = 4, mu = +-1e100; at mu = +-1e200 the continuants
+    # overflowed and it returned nan.
+    p = WireParams(n=n, eps0=0.0, v=1.0, gamma=0.5)
+    res, _ = _assert_matches_pole_oracle(p, BiasWindow(*((mu, -mu) if forward else (-mu, mu))))
+    assert res.value == pytest.approx(TOTAL_INTEGRAL if forward else -TOTAL_INTEGRAL, rel=1e-12)
+
+
+def _refuse_quadrature(monkeypatch):
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad ran where the pole sum should have")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.05])
+def test_one_site_current_takes_the_pole_sum_for_any_hopping(temperature, monkeypatch):
+    # h = gamma/(2|v|) = 1.25 here, but v does not enter a one-site G.
+    _refuse_quadrature(monkeypatch)
+    p = WireParams(n=1, eps0=0.0, v=0.2, gamma=0.5)
+    res, oracle = _assert_matches_pole_oracle(p, BiasWindow(0.3, -0.3, temperature))
+    assert 0.0 < res.error_estimate <= transport._QUAD_EPSREL * abs(res.value)
+    if temperature == 0.0:
+        assert abs(res.value - lorentzian_window_integral(0.5, 0.3)) <= res.error_estimate
 
 
 # Ordinary wires: h <= 0.9, n <= 300, windows overlapping the band.
@@ -1005,14 +1046,19 @@ ORDINARY_WARM_WIRES = [
 def test_ordinary_warm_currents_never_reach_the_quadrature(
         n, eps0, v, gamma, mu_left, mu_right, temperature, monkeypatch):
     # A guard that declined these would give back the whole gain, silently.
-    import scipy.integrate
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("quad ran for an ordinary wire at T > 0")
-
-    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    _refuse_quadrature(monkeypatch)
     p = WireParams(n=n, eps0=eps0, v=v, gamma=gamma)
     res = landauer_current(p, BiasWindow(mu_left, mu_right, temperature))
+    assert 0.0 < res.error_estimate <= transport._QUAD_EPSREL * abs(res.value)
+
+
+@pytest.mark.parametrize("n, eps0, v, gamma, mu_left, mu_right, temperature",
+                         ORDINARY_WARM_WIRES)
+def test_ordinary_cold_currents_never_reach_the_quadrature(
+        n, eps0, v, gamma, mu_left, mu_right, temperature, monkeypatch):
+    _refuse_quadrature(monkeypatch)
+    p = WireParams(n=n, eps0=eps0, v=v, gamma=gamma)
+    res = landauer_current(p, BiasWindow(mu_left, mu_right))
     assert 0.0 < res.error_estimate <= transport._QUAD_EPSREL * abs(res.value)
 
 
