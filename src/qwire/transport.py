@@ -24,9 +24,11 @@ per energy, so the bridge verifies the code that produces T.
 
 The Landauer current is a sum over the n poles of the open wire, which the
 Chebyshev form of the continuants gives in O(n) with no power of v: of log
-potentials at T = 0 and of digamma potentials at T > 0.  At either
-temperature ``scipy.integrate.quad`` over T remains the fallback wherever
-that sum's guards or its rounding bound decline it (``landauer_current``).
+potentials at T = 0 and of digamma potentials at T > 0.  Newton solves
+half of the poles; the chain's reflection symmetry gives the other half.
+At either temperature ``scipy.integrate.quad`` over T remains the fallback
+wherever that sum's guards or its rounding bound decline it
+(``landauer_current``).
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-10
 _QUAD_LIMIT = 200
 # Newton steps of ``_pole_angles``: 3 to 7 up to h = 0.95, and 12
-# still reach every pole of n <= 400 wires at h = 0.999999.
+# still reach every pole of n <= 400 wires at h = 0.999999 (the solved
+# half needs as many steps as a solve of all n poles).
 _NEWTON_STEPS = 12
 # A theta step at most this small leaves a root error of order its square.
 _NEWTON_TOL = 1e-13
@@ -106,7 +109,9 @@ class CurrentResult:
     most 1e-10 of ``|value|``); where the pole sum declines, it is
     ``scipy.integrate.quad``'s absolute error estimate.  ``window`` is the
     bias window at T = 0 and the bias window padded by 40 k_B T at T > 0, on
-    either route.
+    either route.  Zero bias takes neither route: ``value`` and
+    ``error_estimate`` are exactly 0 and ``window`` is the unpadded
+    ``(mu, mu)`` at every temperature.
     """
 
     value: float
@@ -425,12 +430,19 @@ def _pole_angles(n: int, h: float) -> np.ndarray | None:
     """theta_k, k = 1..n, with ``w = exp(i theta_k)`` the poles of an n-site open wire.
 
     Newton on ``i n theta + log(w + ih) - log(1 + ihw) = i pi k`` from the
-    chain angles ``pi k/(n+1)`` (the roots at h = 0), all k at once; the
-    logs keep to their principal branches for h < 1 and |w| <= 1.  Returns
-    ``None`` when a step is still above ``_NEWTON_TOL`` after
-    ``_NEWTON_STEPS`` steps.
+    chain angles ``pi k/(n+1)`` (the roots at h = 0), for k = 1..ceil(n/2)
+    at once; the logs keep to their principal branches for h < 1 and
+    |w| <= 1.  The chain is bipartite with the same corner i gamma/2 at both
+    ends, so flipping the sign on every other site maps the poles onto
+    ``2 eps0 - conj(lambda)``: they pair as
+    ``theta_{n+1-k} = pi - conj(theta_k)``, that is ``w -> -conj(w)`` and
+    ``lambda_{n+1-k} = 2 eps0 - conj(lambda_k)``, and the other half is
+    taken from that relation, in k order.  An odd n's middle root is its
+    own mirror and is solved.  Returns ``None`` when a step is still above
+    ``_NEWTON_TOL`` after ``_NEWTON_STEPS`` steps.
     """
-    k = np.arange(1, n + 1)
+    half = (n + 1) // 2
+    k = np.arange(1, half + 1)
     theta = (math.pi / (n + 1)) * k + 0j
     branch = (1j * math.pi) * k
     ih = 1j * h
@@ -442,7 +454,7 @@ def _pole_angles(n: int, h: float) -> np.ndarray | None:
         step = (1j * n * theta + np.log(a) - np.log(b) - branch) / (1j * (n + q * w / (a * b)))
         theta -= step
         if np.abs(step).max() <= _NEWTON_TOL:
-            return theta
+            return np.concatenate((theta, math.pi - theta[: n - half][::-1].conj()))
     return None
 
 
@@ -456,7 +468,8 @@ def _pole_current(p: WireParams, bias: BiasWindow) -> tuple[float, float] | None
 
     Its zeros with |w| < 1 are the poles ``lambda_j = eps0 - |v|(w + 1/w)``
     (Im > 0) of ``G = (C**-1)_{1n} = sum_j a_j / (lambda_j - z)``, one per
-    chain mode k = 1..n (``_pole_angles``).  On a root
+    chain mode k = 1..n (``_pole_angles``, which solves k <= ceil(n/2) and
+    mirrors the rest).  On a root
     ``w**n (w + ih) = (-1)**k (1 + ihw)``, so the residue
     ``a_j = sign(v)**(n-1) (-1)**k (w**2 - 1)**2 / (2w (n AB + (1 + h**2) w))``
     (A = w + ih, B = 1 + ihw) and ``conj(G(conj lambda_j)) = sign(v)**(n-1)
@@ -562,7 +575,9 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     difference is below 1e-17.  Chain resonance energies are
     passed to the quadrature as break points so narrow peaks are not
     missed; when there are at least 200 of them (the subinterval limit), the
-    limit is raised by their count.  Zero bias returns exactly 0.
+    limit is raised by their count.  Zero bias returns exactly 0, with
+    error estimate 0 and the unpadded window ``(mu, mu)`` at every
+    temperature.
 
     For the quadrature, T(eps) is the GF transmittance, built once per call:
     the numerator ``gamma**2 * cof**2``, the corner constants and the

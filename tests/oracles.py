@@ -52,6 +52,31 @@ def dense_transmittance(p, eps):
     return p.gamma ** 2 * abs(inv[0, p.n - 1]) ** 2
 
 
+def transmittance_closed_form(p, eps):
+    """T(eps) from the Chebyshev form of det C, O(1) per energy and any n.
+
+    With ``x = (eps0 - eps)/(2|v|) = (w + 1/w)/2``, |w| <= 1, and
+    ``h = gamma/(2|v|)``, both lead corners close det C as
+
+        (w - 1/w) det C = |v|**n [w**(n-1) (w + ih)**2 - w**(-n-1) (1 + ihw)**2],
+
+    so ``T = gamma**2 |v|**(2n-2) / |det C|**2`` is
+
+        gamma**2 |w - 1/w|**2 |w|**(2n+2) / (v**2 |w**(2n) (w + ih)**2 - (1 + ihw)**2|**2),
+
+    with no power of v left.  ``w = x - sqrt(x - 1) sqrt(x + 1)`` is the
+    root with |w| <= 1 on either side of the band and on the unit circle in
+    it.  The band edges, x = +-1, are 0/0.
+    """
+    av = abs(p.v)
+    ih = 0.5j * p.gamma / av
+    x = (p.eps0 - np.asarray(eps, dtype=float)) / (2.0 * av)
+    w = x - np.sqrt(x - 1.0 + 0j) * np.sqrt(x + 1.0 + 0j)
+    d = w ** (2 * p.n) * (w + ih) ** 2 - (1.0 + ih * w) ** 2
+    return (p.gamma ** 2 * np.abs(w - 1.0 / w) ** 2 * np.abs(w) ** (2 * p.n + 2)
+            / (av * av * np.abs(d) ** 2))
+
+
 def _amplitude_generator(p, onsite):
     """A = -iH - Gamma/2 with ``onsite`` on the diagonal of -iH (see ``slowest_decay_rate``)."""
     a = np.zeros((p.n, p.n), dtype=complex)

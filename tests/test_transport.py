@@ -36,7 +36,9 @@ from oracles import (
     current_dense_grid,
     current_pole_sum_dense,
     dense_transmittance,
+    dense_wire_matrix,
     lorentzian_window_integral,
+    transmittance_closed_form,
 )
 
 
@@ -274,6 +276,34 @@ def test_routes_independent_of_bandwidth():
 def test_eo_matches_dense_oracle_three_sites():
     p = WireParams(n=3, eps0=0.0, v=1.0, gamma=1.0)
     assert transmittance_eo(p, 0.0) == pytest.approx(dense_transmittance(p, 0.0), abs=1e-12)
+
+
+def test_closed_form_transmittance_matches_dense_inversion():
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        p = random_params(rng, n=int(rng.integers(1, 7)))
+        span = 2.5 * p.v
+        for eps in rng.uniform(p.eps0 - span, p.eps0 + span, 5):
+            assert transmittance_closed_form(p, eps) == pytest.approx(
+                dense_transmittance(p, eps), rel=1e-12
+            )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 300, 1000, 3000])
+def test_routes_match_the_closed_form_transmittance_on_long_wires(n):
+    # |v| near 1 keeps v**(n-1) in range up to n = 3000.  The rounding of
+    # both sides grows with n, most near the band edges.
+    p = WireParams(n=n, eps0=0.13, v=-0.99, gamma=0.7)
+    rtol = 1e-13 * n
+    band = p.eps0 + 2.0 * abs(p.v) * np.linspace(-0.999, 0.999, 2001)
+    oracle = transmittance_closed_form(p, band)
+    np.testing.assert_allclose(transmittance_gf(p, band), oracle, rtol=rtol, atol=0.0)
+    # In band only: out of it the EO recombination goes slightly negative.
+    np.testing.assert_allclose(transmittance_eo(p, band), oracle, rtol=rtol, atol=0.0)
+    if n <= 300:  # beyond, the continuants grow like |w|**-n out of range
+        wide = p.eps0 + 2.5 * abs(p.v) * np.linspace(-1.0, 1.0, 1000)
+        np.testing.assert_allclose(transmittance_gf(p, wide),
+                                   transmittance_closed_form(p, wide), rtol=rtol, atol=0.0)
 
 
 # --- equivalence of the two routes ---------------------------------------------
@@ -695,10 +725,13 @@ def test_spectrum_temporaries_stay_block_sized():
 # --- Landauer current -------------------------------------------------------------
 
 def test_current_zero_bias_is_exactly_zero():
+    # At T > 0 too, the window is the bias point itself, not padded by 40*T.
     p = WireParams(n=3, eps0=0.0, v=1.0, gamma=0.5)
-    res = landauer_current(p, BiasWindow(0.7, 0.7))
-    assert res.value == 0.0
-    assert res.error_estimate == 0.0
+    for temperature in (0.0, 0.1):
+        res = landauer_current(p, BiasWindow(0.7, 0.7, temperature))
+        assert res.value == 0.0
+        assert res.error_estimate == 0.0
+        assert res.window == (0.7, 0.7)
 
 
 def test_current_single_site_arctangent_oracle():
@@ -910,6 +943,62 @@ def test_current_falls_back_to_plain_quad_on_its_own(n, v, gamma, mu, temperatur
     assert (res.value.hex(), res.error_estimate.hex()) == (value.hex(), abserr.hex())
 
 
+def _newton_angles(n, h, count):
+    """The Newton loop of ``_pole_angles`` on k = 1..count, with no mirror.
+
+    ``count = n`` is the full solve that ``_pole_angles`` ran before it took
+    the upper half of the poles from the mirror.
+    """
+    k = np.arange(1, count + 1)
+    theta = (math.pi / (n + 1)) * k + 0j
+    branch = (1j * math.pi) * k
+    ih = 1j * h
+    q = 1.0 + h * h
+    for _ in range(transport._NEWTON_STEPS):
+        w = np.exp(1j * theta)
+        a = w + ih
+        b = 1.0 + ih * w
+        step = (1j * n * theta + np.log(a) - np.log(b) - branch) / (1j * (n + q * w / (a * b)))
+        theta -= step
+        if np.abs(step).max() <= transport._NEWTON_TOL:
+            return theta
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41, 226])
+@pytest.mark.parametrize("h", [0.05, 0.5, 0.95])
+def test_pole_angles_take_the_upper_half_from_the_mirror(n, h):
+    # Solved: k = 1..ceil(n/2), by Newton itself, the odd middle root
+    # included; at n = 1 that is the full solve, bit for bit.  Mirrored, bit
+    # for bit: theta_k = pi - conj(theta_{n+1-k}).  A full Newton solve lands
+    # within rounding of the mirror, and for n >= 8 here never on it.
+    theta = transport._pole_angles(n, h)
+    half = (n + 1) // 2
+    assert theta.shape == (n,)
+    assert theta[:half].tobytes() == _newton_angles(n, h, half).tobytes()
+    for k in range(half + 1, n + 1):
+        assert theta[k - 1] == math.pi - theta[n - k].conjugate()
+    assert np.abs(theta - _newton_angles(n, h, n)).max() <= 4e-15
+    if n % 2:
+        assert abs(theta[half - 1].real - 0.5 * math.pi) <= 4e-15
+
+
+@pytest.mark.parametrize("h", [0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999])
+def test_poles_match_dense_eigenvalues_near_the_transition(h):
+    # Two poles approach each other as h -> 1; Newton still converges, and
+    # lambda_j = eps0 - |v| (w + 1/w) matches the eigenvalues of
+    # K = eps0 - vJ + i gamma/2 on both corners.
+    for n in [*range(2, 41), 60, 100, 101, 200, 201]:
+        p = WireParams(n=n, eps0=0.0, v=1.0, gamma=2.0 * h)
+        theta = transport._pole_angles(n, h)
+        assert theta is not None, n
+        w = np.exp(1j * theta)
+        lam = -(w + 1.0 / w)
+        dense = np.linalg.eigvals(dense_wire_matrix(p, 0.0))
+        gap = np.abs(lam[:, None] - dense[None, :])
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-13, n
+
+
 def test_pole_sum_declines_a_doubled_pole(monkeypatch):
     # Newton landing twice on one pole (and so missing another) leaves the
     # residues summing to about a_j, not 0; the residue defect in the bound
@@ -925,6 +1014,16 @@ def test_pole_sum_declines_a_doubled_pole(monkeypatch):
         return theta
 
     monkeypatch.setattr(transport, "_pole_angles", doubled)
+    assert all(transport._pole_current(p, bias) is None for bias in biases)
+
+    # A doubling inside the solved half, theta_2 = theta_3, which the mirror
+    # copies to theta_7 = theta_6: two poles doubled, two missing.
+    def doubled_before_the_mirror(n, h):
+        solved = real(n, h)[: (n + 1) // 2]
+        solved[1] = solved[2]
+        return np.concatenate((solved, math.pi - solved[: n // 2][::-1].conj()))
+
+    monkeypatch.setattr(transport, "_pole_angles", doubled_before_the_mirror)
     assert all(transport._pole_current(p, bias) is None for bias in biases)
 
 
