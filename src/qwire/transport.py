@@ -121,7 +121,12 @@ class CurrentResult:
 
 @dataclass(frozen=True)
 class TransmissionSpectrum:
-    """Transmittance samples on a strictly increasing energy grid."""
+    """Transmittance samples on a strictly increasing energy grid.
+
+    Each sample column is validated by one ``min()`` and one ``max()``: a
+    non-finite sample raises NumericalError, a finite one outside
+    ``[0, 1 + 1e-9]`` raises ValueError.
+    """
 
     energies: np.ndarray
     params: WireParams
@@ -142,9 +147,12 @@ class TransmissionSpectrum:
             t = np.asarray(t, dtype=float)
             if t.shape != grid.shape:
                 raise ValueError(f"{name} must match the grid shape")
-            if not np.all(np.isfinite(t)):
+            # NaN propagates through min and max and an infinity is one of
+            # them, so both are finite exactly when every sample is.
+            lo, hi = t.min(), t.max()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise NumericalError(f"{name} has non-finite samples")
-            if t.min() < 0.0 or t.max() > _T_UPPER:
+            if lo < 0.0 or hi > _T_UPPER:
                 raise ValueError(f"{name} leaves [0, 1 + 1e-9]")
 
     def abs_diff(self) -> np.ndarray:
@@ -202,10 +210,17 @@ def _gf_numerator(p: WireParams) -> float:
 
 
 def _dets(p: WireParams, eps: EnergyLike) -> tuple[HatDets, EnergyLike]:
-    """``hat_dets(p, eps)`` and ``|det C|**2`` from its corner split, for both routes."""
+    """``hat_dets(p, eps)`` and ``|det C|**2`` from its corner split, for both routes.
+
+    ``|det C|**2 = re*re + im*im`` is formed in the two fresh values that
+    ``corner_split`` returns (for arrays, in place: no further temporary).
+    """
     h = hat_dets(p, eps)
     re, im = h.corner_split(p.gamma)
-    det_sq = re * re + im * im
+    re *= re
+    im *= im
+    re += im
+    det_sq = re
     # Only a scalar quotient by 0.0 raises (ZeroDivisionError); arrays give nan or inf.
     if isinstance(det_sq, float) and det_sq == 0.0:
         raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
@@ -283,18 +298,26 @@ def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
     return EOTerms(term_u1=term_u1, term_uN=term_uN, term_im=term_im)
 
 
-def _eo(p: WireParams, h: HatDets, det_sq: EnergyLike) -> tuple[EnergyLike, EnergyLike]:
+def _eo(
+    p: WireParams, h: HatDets, det_sq: EnergyLike, out: np.ndarray | None = None
+) -> tuple[EnergyLike, EnergyLike]:
     """EO transmittance and the hat gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n.
 
     The recombination check reuses the temporaries of ``_eo_terms``, which
     this call owns, by augmented assignment in the order of the closed form.
+    With ``out`` (an array of the energies' shape) the final division by
+    ``|det C|**2`` writes the transmittance there, and ``out`` is returned;
+    its values are written before the check, which may still raise.
     """
     cof = corner_cofactor_wire(p)
     gap = h.c_n1 * h.c_n1
     gap -= h.c_n2 * h.c_n
     t = cof * cof + gap
     t *= 0.5 * p.gamma ** 2
-    t /= det_sq
+    if out is None:
+        t /= det_sq
+    else:
+        t = np.divide(t, det_sq, out=out)
     terms = _eo_terms(p, h, det_sq)
     recombined = terms.term_uN
     recombined -= terms.term_u1
@@ -379,7 +402,10 @@ def spectrum(
 
     The routes run over the grid in blocks of ``_BLOCK`` energies, in grid
     order, and write into outputs allocated once; every temporary is
-    block-sized.  Each value is elementwise, so every sample has the bits of
+    block-sized.  The GF numerator is taken once per call, and each block's
+    GF quotient and EO transmittance are divided straight into their slices
+    of the outputs (``out=``), with no block copy.  Each value is
+    elementwise, so every sample has the bits of
     ``transmittance_gf(p, grid)`` and ``transmittance_eo(p, grid)``, and the
     first failing block raises the error the whole grid would.
     ``TransmissionSpectrum`` then validates the whole result.
@@ -405,16 +431,17 @@ def spectrum(
     t_gf = np.empty(points) if method in ("gf", "both") else None
     t_eo = np.empty(points) if method in ("eo", "both") else None
     # Non-finite values raise in _eo or in TransmissionSpectrum.  The numerator
-    # and cofactor errors do not depend on the energy, so they come from the
-    # first block.
+    # and cofactor errors do not depend on the energy, so they are raised
+    # before any block, as the first block would.
     with np.errstate(all="ignore"):
+        num = _gf_numerator(p) if t_gf is not None else None
         for start in range(0, points, _BLOCK):
             block = slice(start, start + _BLOCK)
             h, det_sq = _dets(p, grid[block])
             if t_gf is not None:
-                t_gf[block] = _gf_numerator(p) / det_sq
+                np.divide(num, det_sq, out=t_gf[block])
             if t_eo is not None:
-                t_eo[block] = _eo(p, h, det_sq)[0]
+                _eo(p, h, det_sq, out=t_eo[block])
     return TransmissionSpectrum(
         energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo
     )

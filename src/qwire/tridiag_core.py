@@ -176,6 +176,16 @@ def _continuant_kernel(b2, n, modulus=None):
     step and the triple once at the end, so the values equal those of
     ``_continuants`` with the same modulus.
 
+    The plain body writes each step by augmented assignment into products it
+    has just made (``t = alpha * c; t -= b2x2 * d; t *= c``).  On arrays
+    that updates in place and saves three of the eight temporaries of a
+    step; on floats, ints and Fractions it is the same arithmetic, since a
+    rounded product does not depend on operand order.  It never writes into
+    ``alpha``, ``zero``, ``one`` or the pair ``(c, d)`` it carries (at
+    k = 1, ``d`` is ``one`` itself), so the caller's arrays are left as they
+    were.  At n <= 2 the triple returns ``one`` (and at n = 1 ``zero``)
+    itself.
+
     The bits of n-1 and ``2*b2`` depend only on the recurrence, so they are
     taken here, once; a caller that evaluates many diagonals (energies) with
     one ``b2`` builds the kernel once and pays only for the arithmetic.
@@ -203,12 +213,21 @@ def _continuant_kernel(b2, n, modulus=None):
         if n > 1:
             c, d = alpha * one, one  # k = 1
             for odd in odd_bits:
-                c2k = c * c - b2 * (d * d)
+                c2k = c * c
+                c2k -= b2 * (d * d)
                 if odd:
-                    c, d = c * (alpha * c - b2x2 * d), c2k
+                    t = alpha * c
+                    t -= b2x2 * d
+                    t *= c
+                    c, d = t, c2k
                 else:
-                    c, d = c2k, d * (c + c - alpha * d)
-        return alpha * c - b2 * d, c, d
+                    t = c + c
+                    t -= alpha * d
+                    t *= d
+                    c, d = c2k, t
+        a_n = alpha * c
+        a_n -= b2 * d
+        return a_n, c, d
 
     return kernel
 

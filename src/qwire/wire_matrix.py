@@ -142,6 +142,14 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     time.  Floats and arrays go through the same operations in the same
     order, so a scalar result is bit-identical to the corresponding element
     of an array result.
+
+    An array of energies seeds the kernel with the Python floats 0.0 and
+    1.0 when n >= 3: there the seeds enter only as factors of
+    Chat_1 = (eps0 - eps)*1 and of the first doubling step, whose products
+    are arrays of the energies' shape with the bits that array seeds would
+    give, so no seed array is filled.  At n <= 2 a seed is itself returned
+    (Chat_{n-2} = 1 at n = 2; Chat_{n-1} = 1 and Chat_{n-2} = 0 at n = 1),
+    so there the seeds are arrays and every field keeps the energies' shape.
     """
     if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
         eps = float(eps)
@@ -150,7 +158,10 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     else:
         eps = np.asarray(eps, dtype=float)
         finite = np.all(np.isfinite(eps))
-        zero, one = np.zeros_like(eps), np.ones_like(eps)
+        if p.n >= 3:
+            zero, one = 0.0, 1.0
+        else:
+            zero, one = np.zeros_like(eps), np.ones_like(eps)
     if not finite:
         raise ValueError("probe energy must be finite")
     return HatDets(*_continuant_kernel(p.v * p.v, p.n)(p.eps0 - eps, zero, one))

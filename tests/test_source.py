@@ -88,3 +88,29 @@ def test_light_modules_import_no_numpy_or_scipy_at_module_level():
             if any(m.split(".")[0] in ("numpy", "scipy") for m in modules):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_plain_continuant_kernel_writes_into_no_argument():
+    # The plain body updates its own fresh products in place.  A write into
+    # alpha, zero, one or the pair (c, d) it carries would change the
+    # caller's arrays: at k = 1, d is the caller's one.
+    tree = ast.parse((PACKAGE / "tridiag_core.py").read_text())
+    factory = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_continuant_kernel")
+    returned = factory.body[-1].value.id  # the plain body is the factory's last return
+    plain = next(node for node in factory.body
+                 if isinstance(node, ast.FunctionDef) and node.name == returned)
+    protected = {"alpha", "zero", "one", "c", "d"}
+
+    def root(target):
+        while isinstance(target, (ast.Subscript, ast.Attribute)):
+            target = target.value
+        return target.id if isinstance(target, ast.Name) else None
+
+    updates = [node for node in ast.walk(plain) if isinstance(node, ast.AugAssign)]
+    element_writes = [target for node in ast.walk(plain) if isinstance(node, ast.Assign)
+                      for target in node.targets if isinstance(target, (ast.Subscript, ast.Attribute))]
+    found = [f"line {node.lineno}" for node in updates if root(node.target) in protected]
+    found += [f"line {target.lineno}" for target in element_writes if root(target) in protected]
+    assert len(updates) >= 4  # the rule reads the body that updates in place
+    assert found == []

@@ -606,13 +606,28 @@ def test_spectrum_type_validates_bounds():
 
 
 def test_spectrum_type_rejects_nonfinite_samples():
+    # Each column is checked by its min and max: a non-finite sample raises
+    # NumericalError in either column, even beside a negative one, and a
+    # finite sample outside [0, 1 + 1e-9] raises ValueError.
     p = WireParams(n=2, eps0=0.0, v=1.0, gamma=0.5)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(NumericalError):
-            TransmissionSpectrum(
-                energies=np.array([0.0, 1.0]), params=p, method="gf",
-                t_gf=np.array([0.5, bad]),
-            )
+    energies = np.array([0.0, 1.0, 2.0])
+
+    def check(name, samples):
+        columns = {"t_gf": np.full(3, 0.5), "t_eo": np.full(3, 0.5), name: np.array(samples)}
+        TransmissionSpectrum(energies=energies, params=p, method="both", **columns)
+
+    for name in ("t_gf", "t_eo"):
+        for bad in (math.nan, math.inf, -math.inf):
+            for samples in ([0.5, bad, 0.25], [bad, 0.5, 0.25], [0.5, 0.25, bad]):
+                with pytest.raises(NumericalError, match=f"{name} has non-finite samples"):
+                    check(name, samples)
+        for samples in ([math.nan, -0.5, 0.25], [0.5, -0.5, math.nan], [2.0, math.nan, 0.5]):
+            with pytest.raises(NumericalError, match=f"{name} has non-finite samples"):
+                check(name, samples)
+        for bad in (-1e-300, -0.5, 1.0 + 2e-9, 7.0):
+            with pytest.raises(ValueError, match=rf"{name} leaves \[0, 1 \+ 1e-9\]"):
+                check(name, [0.5, bad, 0.25])
+        check(name, [0.0, 1.0 + 1e-9, 0.5])
 
 
 def test_spectrum_type_validation_allocates_no_float_temporary():

@@ -292,6 +292,31 @@ def test_continuant_kernel_built_once_matches_hat_dets_per_energy(n):
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 226, 2 ** 20 + 1])
+def test_continuant_kernel_leaves_its_array_arguments_unchanged(n):
+    # The plain body updates its own products in place; at k = 1 its d is the
+    # caller's one, so a write into d (or alpha, zero, c) would change the
+    # caller's arrays.  The sizes cover n <= 2, odd and even steps.
+    kernel = _continuant_kernel(0.49, n)
+    alpha = np.linspace(-1.7, 1.6, 19)
+    zero, one = np.zeros_like(alpha), np.ones_like(alpha)
+    before = [x.copy() for x in (alpha, zero, one)]
+    with np.errstate(all="ignore"):
+        got = kernel(alpha, zero, one)
+        want = np.array([kernel(a, 0.0, 1.0) for a in alpha.tolist()]).T
+    assert [x.tobytes() for x in (alpha, zero, one)] == [x.tobytes() for x in before]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hat_dets_of_an_array_are_arrays_of_its_shape(n):
+    # At n <= 2 a seed of the kernel is itself a field of the result.
+    p = WireParams(n=n, eps0=0.1, v=0.8, gamma=0.3)
+    energies = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    for field in hat_dets(p, energies):
+        assert isinstance(field, np.ndarray) and field.shape == energies.shape
+
+
 def test_hat_dets_reject_non_finite_energy():
     p = WireParams(n=2, eps0=0.0, v=1.0, gamma=1.0)
     with pytest.raises(ValueError):
