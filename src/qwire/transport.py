@@ -9,18 +9,27 @@ while the evolution-operator route evaluates
     T(eps) = gamma**2 / (2 |det C|**2)
              * (cof**2 + Chat_{n-1}**2 - Chat_{n-2} * Chat_n).
 
-Both read one ``HatDets`` and divide by one ``|det C|**2``, which each public
-function evaluates once and shares between the routes.  ``spectrum`` walks
-its grid in blocks of ``_BLOCK`` energies, so the temporaries of both routes
-stay block-sized while only the grid and the outputs span the whole grid.
-They agree because the continuant identity turns
-``Chat_{n-1}**2 - Chat_{n-2}*Chat_n`` into ``v**(2n-2) = cof**2``; the
-equivalence report verifies that bridge in one fingerprint pass per call
-(modulo 2**61 - 1, exactly where that check is nonzero) and shows the
-combination is generically nonzero, i.e. the identity is doing real work.
-The check, its exact pass and ``hat_dets`` all reach the continuants by
-index doubling in one kernel, ``tridiag_core._continuant_kernel``, O(log n)
-per energy, so the bridge verifies the code that produces T.
+Both run in Chebyshev units (the paper's ``A_n = beta**n U_n(alpha/2beta)``):
+with ``U_k = Chat_k/|v|**k``, ``g = gamma/|v|`` and
+``det C~ = det C/|v|**n = U_n + i g U_{n-1} - (g**2/4) U_{n-2}``,
+
+    T_GF = g**2 / |det C~|**2,
+    T_EO = g**2 (1 + U_{n-1}**2 - U_{n-2} U_n) / (2 |det C~|**2),
+
+so no power of v is taken: in the band |U_k| <= k + 1 for every v, and
+neither ``v**(n-1)`` nor its square can leave the double range.  The U_k
+come from the unit body of ``tridiag_core._continuant_kernel``
+(``wire_matrix._chebyshev_dets``).  Both routes read one such triple and
+divide by one ``|det C~|**2``, which each public function evaluates once
+and shares between the routes.  ``spectrum`` walks its grid in blocks of
+``_BLOCK`` energies, so the temporaries of both routes stay block-sized
+while only the grid and the outputs span the whole grid.  They agree
+because the continuant identity ``beta**(2n-2) = A_{n-1}**2 - A_{n-2} A_n``
+reads ``U_{n-1}**2 - U_{n-2} U_n = 1`` in these units.  The equivalence
+report verifies that bridge in one fingerprint pass per call (modulo
+2**61 - 1, exactly where that check is nonzero) on the unscaled continuants
+``Chat_k``, which are integers over a power of two; the check and its exact
+pass run the ``b2`` body of the same kernel, O(log n) per energy.
 
 The Landauer current is a sum over the n poles of the open wire, which the
 Chebyshev form of the continuants gives in O(n) with no power of v: of log
@@ -40,13 +49,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .tridiag_core import FLOAT, _continuant_kernel, _residuals
-from .wire_matrix import (
-    EnergyLike,
-    HatDets,
-    WireParams,
-    corner_cofactor_wire,
-    hat_dets,
-)
+from .wire_matrix import EnergyLike, HatDets, WireParams, _chebyshev_dets
 
 _RECOMBINE_RTOL = 1e-9
 _RECOMBINE_ATOL = 1e-12
@@ -103,6 +106,9 @@ class BiasWindow:
 @dataclass(frozen=True)
 class CurrentResult:
     """Landauer current with its error estimate and integration window.
+
+    Neither route takes a power of v, so no wire length or hopping makes
+    the current fail before it is evaluated.
 
     ``error_estimate`` depends on the route ``landauer_current`` took: at
     every temperature it is normally the pole sum's own rounding bound (at
@@ -165,19 +171,23 @@ class TransmissionSpectrum:
 class EquivalenceReport:
     """Per-energy comparison of the two transmittance routes.
 
-    ``hat_gap`` is the combination Chat_{n-1}**2 - Chat_{n-2}*Chat_n whose
-    generic nonzero value shows the two route formulas differ termwise;
+    ``hat_gap`` is the combination U_{n-1}**2 - U_{n-2}*U_n in Chebyshev
+    units (``U_k = Chat_k/|v|**k``), as the EO route computes it: its exact
+    value is 1 at every energy, so its nonzero value shows the two route
+    formulas differ termwise, and its distance from 1 is the rounding of the
+    route (large out of band, where the squares cancel).
     ``bridge_residual_rel`` is the relative residual of the continuant
-    identity that equates the gap to the squared corner cofactor: 0.0 where
-    the residual is zero mod 2**61 - 1, the exactly computed value otherwise
-    (the smallest subnormal where a nonzero value underflows).
+    identity that equates the unscaled gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n
+    to the squared corner cofactor v**(2n-2): 0.0 where the residual is
+    zero mod 2**61 - 1, the exactly computed value otherwise (the smallest
+    subnormal where a nonzero value underflows).
     ``bridge_exact_fallbacks`` counts the energies whose residual was nonzero
     mod 2**61 - 1 and so took the exact big-integer pass; it is 0 for a
     correct recurrence.  The check and the exact pass reach Chat_n by index
-    doubling in ``tridiag_core._continuant_kernel``, the kernel that
-    ``hat_dets`` runs, in O(log n) operations per energy.  The check of all
-    energies is one pass over one common denominator; its flags and values
-    equal those of per-energy ``identity_residual`` calls.
+    doubling in the ``b2`` body of ``tridiag_core._continuant_kernel``, the
+    kernel whose unit body gives T, in O(log n) operations per energy.  The
+    check of all energies is one pass over one common denominator; its
+    flags and values equal those of per-energy ``identity_residual`` calls.
     """
 
     energies: np.ndarray
@@ -191,32 +201,15 @@ class EquivalenceReport:
     bridge_exact_fallbacks: int
 
 
-def _gf_numerator(p: WireParams) -> float:
-    """gamma**2 * cof**2, the energy-independent numerator of the GF route.
+def _dets(p: WireParams, eps: EnergyLike) -> tuple[float, HatDets, EnergyLike]:
+    """``g = gamma/|v|``, ``_chebyshev_dets(p, eps)`` and ``|det C~|**2``, for both routes.
 
-    Raises
-    ------
-    NumericalError
-        ``cof`` or the numerator leaves the double range.
+    ``|det C~|**2 = re*re + im*im`` is formed in the two fresh values that
+    ``corner_split(g)`` returns (for arrays, in place: no further temporary).
     """
-    cof = corner_cofactor_wire(p)
-    num = p.gamma ** 2 * cof * cof
-    if not math.isfinite(num):
-        raise NumericalError(
-            f"GF numerator gamma**2 * cof**2 = {p.gamma}**2 * ({p.v}**{p.n - 1})**2 "
-            "leaves the double range"
-        )
-    return num
-
-
-def _dets(p: WireParams, eps: EnergyLike) -> tuple[HatDets, EnergyLike]:
-    """``hat_dets(p, eps)`` and ``|det C|**2`` from its corner split, for both routes.
-
-    ``|det C|**2 = re*re + im*im`` is formed in the two fresh values that
-    ``corner_split`` returns (for arrays, in place: no further temporary).
-    """
-    h = hat_dets(p, eps)
-    re, im = h.corner_split(p.gamma)
+    g = p.gamma / abs(float(p.v))
+    h = _chebyshev_dets(p, eps)
+    re, im = h.corner_split(g)
     re *= re
     im *= im
     re += im
@@ -224,7 +217,7 @@ def _dets(p: WireParams, eps: EnergyLike) -> tuple[HatDets, EnergyLike]:
     # Only a scalar quotient by 0.0 raises (ZeroDivisionError); arrays give nan or inf.
     if isinstance(det_sq, float) and det_sq == 0.0:
         raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
-    return h, det_sq
+    return g, h, det_sq
 
 
 def _require_finite(what: str, *values: EnergyLike) -> None:
@@ -235,17 +228,18 @@ def _require_finite(what: str, *values: EnergyLike) -> None:
 def transmittance_gf(p: WireParams, eps: EnergyLike) -> EnergyLike:
     """Green's-function transmittance gamma**2 * cof**2 / |det C|**2.
 
-    Accepts a scalar or an array of probe energies.
+    Evaluated as ``g**2 / |det C~|**2`` in Chebyshev units (module
+    docstring).  Accepts a scalar or an array of probe energies.
 
     Raises
     ------
     NumericalError
-        The numerator leaves the double range, ``|det C|**2`` underflows to 0
-        at a scalar energy, or any transmittance is non-finite.
+        ``|det C|**2`` underflows to 0 at a scalar energy, or any
+        transmittance is non-finite.
     """
     with np.errstate(all="ignore"):  # non-finite values raise below
-        det_sq = _dets(p, eps)[1]  # hat_dets and its zero check precede the numerator
-        t = _gf_numerator(p) / det_sq
+        g, _, det_sq = _dets(p, eps)
+        t = g * g / det_sq
     _require_finite("GF transmittance", t)
     return t
 
@@ -265,7 +259,7 @@ def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
     return terms
 
 
-def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
+def _eo_terms(p: WireParams, g: float, h: HatDets, det_sq: EnergyLike) -> EOTerms:
     """The three averaged terms, each built in one temporary of its own.
 
     With pref = 2*pi*v_lead**2, q = gamma**2/4 and d = |det C|**2::
@@ -274,21 +268,23 @@ def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
         term_uN = pref * cof**2 / d
         term_im = gamma**2/2 * (2*Chat_{n-1}**2 - Chat_{n-2}*Chat_n + q*Chat_{n-2}**2) / d
 
-    Each keeps the left-to-right grouping written here (a rounded product or
-    sum does not depend on operand order), so the augmented assignments
-    change where a value lands, not its bits.
+    evaluated in Chebyshev units: ``h`` holds the U_k, ``d`` is
+    ``|det C~|**2``, ``g = gamma/|v|`` stands for gamma and ``pref/v**2``
+    for pref, so ``cof`` is 1.  Each keeps the left-to-right grouping
+    written here (a rounded product or sum does not depend on operand
+    order), so the augmented assignments change where a value lands, not
+    its bits.
     """
-    g = p.gamma
-    pref = 2.0 * math.pi * p.v_lead ** 2
-    cof = corner_cofactor_wire(p)
-    # 0.25*g*g*Chat_{n-2}**2, shared by term_u1 and term_im.
+    av = abs(float(p.v))
+    pref = 2.0 * math.pi * p.v_lead ** 2 / av / av
+    # 0.25*g*g*U_{n-2}**2, shared by term_u1 and term_im.
     corner = 0.25 * g * g * h.c_n2
     corner *= h.c_n2
     term_u1 = h.c_n1 * h.c_n1
     term_u1 += corner
     term_u1 *= pref
     term_u1 /= det_sq
-    term_uN = pref * cof * cof / det_sq
+    term_uN = pref / det_sq
     term_im = 2.0 * h.c_n1
     term_im *= h.c_n1
     term_im -= h.c_n2 * h.c_n
@@ -299,26 +295,26 @@ def _eo_terms(p: WireParams, h: HatDets, det_sq: EnergyLike) -> EOTerms:
 
 
 def _eo(
-    p: WireParams, h: HatDets, det_sq: EnergyLike, out: np.ndarray | None = None
+    p: WireParams, g: float, h: HatDets, det_sq: EnergyLike, out: np.ndarray | None = None
 ) -> tuple[EnergyLike, EnergyLike]:
-    """EO transmittance and the hat gap Chat_{n-1}**2 - Chat_{n-2}*Chat_n.
+    """EO transmittance and the gap U_{n-1}**2 - U_{n-2}*U_n, in Chebyshev units.
 
-    The recombination check reuses the temporaries of ``_eo_terms``, which
-    this call owns, by augmented assignment in the order of the closed form.
-    With ``out`` (an array of the energies' shape) the final division by
-    ``|det C|**2`` writes the transmittance there, and ``out`` is returned;
-    its values are written before the check, which may still raise.
+    ``g**2 (1 + gap) / (2 |det C~|**2)``.  The recombination check reuses
+    the temporaries of ``_eo_terms``, which this call owns, by augmented
+    assignment in the order of the closed form.  With ``out`` (an array of
+    the energies' shape) the final division by ``|det C~|**2`` writes the
+    transmittance there, and ``out`` is returned; its values are written
+    before the check, which may still raise.
     """
-    cof = corner_cofactor_wire(p)
     gap = h.c_n1 * h.c_n1
     gap -= h.c_n2 * h.c_n
-    t = cof * cof + gap
-    t *= 0.5 * p.gamma ** 2
+    t = gap + 1.0
+    t *= 0.5 * g * g
     if out is None:
         t /= det_sq
     else:
         t = np.divide(t, det_sq, out=out)
-    terms = _eo_terms(p, h, det_sq)
+    terms = _eo_terms(p, g, h, det_sq)
     recombined = terms.term_uN
     recombined -= terms.term_u1
     recombined *= 0.5 * p.gamma / p.bandwidth
@@ -335,9 +331,10 @@ def _eo(
 def transmittance_eo(p: WireParams, eps: EnergyLike) -> EnergyLike:
     """Evolution-operator transmittance, independent of the GF route.
 
-    gamma**2/(2 |det C|**2) * (cof**2 + Chat_{n-1}**2 - Chat_{n-2}*Chat_n).
-    The value is re-derived from the three averaged terms, which pins the
-    wide-band bookkeeping 2*pi*v_lead**2 = gamma*bandwidth.
+    gamma**2/(2 |det C|**2) * (cof**2 + Chat_{n-1}**2 - Chat_{n-2}*Chat_n),
+    evaluated in Chebyshev units (module docstring).  The value is
+    re-derived from the three averaged terms, which pins the wide-band
+    bookkeeping 2*pi*v_lead**2 = gamma*bandwidth.
 
     Raises
     ------
@@ -369,9 +366,9 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
     if grid.size == 0:
         raise PreconditionError("energy grid must be non-empty")
     with np.errstate(all="ignore"):  # non-finite values raise in _eo
-        h, det_sq = _dets(p, grid)
-        t_gf = _gf_numerator(p) / det_sq
-        t_eo, gap = _eo(p, h, det_sq)
+        g, h, det_sq = _dets(p, grid)
+        t_gf = g * g / det_sq
+        t_eo, gap = _eo(p, g, h, det_sq)
     diff = np.abs(t_gf - t_eo)
     if p.n > 1:
         passes = _residuals((p.eps0 - grid).tolist(), float(-p.v), FLOAT, p.n, p.n)
@@ -402,9 +399,9 @@ def spectrum(
 
     The routes run over the grid in blocks of ``_BLOCK`` energies, in grid
     order, and write into outputs allocated once; every temporary is
-    block-sized.  The GF numerator is taken once per call, and each block's
-    GF quotient and EO transmittance are divided straight into their slices
-    of the outputs (``out=``), with no block copy.  Each value is
+    block-sized.  Each block's GF quotient ``g**2 / |det C~|**2`` and EO
+    transmittance are divided straight into their slices of the outputs
+    (``out=``), with no block copy.  Each value is
     elementwise, so every sample has the bits of
     ``transmittance_gf(p, grid)`` and ``transmittance_eo(p, grid)``, and the
     first failing block raises the error the whole grid would.
@@ -430,18 +427,15 @@ def spectrum(
     grid = np.linspace(e_min, e_max, points)
     t_gf = np.empty(points) if method in ("gf", "both") else None
     t_eo = np.empty(points) if method in ("eo", "both") else None
-    # Non-finite values raise in _eo or in TransmissionSpectrum.  The numerator
-    # and cofactor errors do not depend on the energy, so they are raised
-    # before any block, as the first block would.
+    # Non-finite values raise in _eo or in TransmissionSpectrum.
     with np.errstate(all="ignore"):
-        num = _gf_numerator(p) if t_gf is not None else None
         for start in range(0, points, _BLOCK):
             block = slice(start, start + _BLOCK)
-            h, det_sq = _dets(p, grid[block])
+            g, h, det_sq = _dets(p, grid[block])
             if t_gf is not None:
-                np.divide(num, det_sq, out=t_gf[block])
+                np.divide(g * g, det_sq, out=t_gf[block])
             if t_eo is not None:
-                _eo(p, h, det_sq, out=t_eo[block])
+                _eo(p, g, h, det_sq, out=t_eo[block])
     return TransmissionSpectrum(
         energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo
     )
@@ -606,22 +600,25 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     error estimate 0 and the unpadded window ``(mu, mu)`` at every
     temperature.
 
-    For the quadrature, T(eps) is the GF transmittance, built once per call:
-    the numerator ``gamma**2 * cof**2``, the corner constants and the
-    continuant kernel (``tridiag_core._continuant_kernel``, with the bits of
-    n-1) are built up front, so each quadrature evaluation pays only for
-    arithmetic: the kernel's about 8*log2(n) float operations, the corner
-    split and the GF quotient, written inline, and at T > 0 the two Fermi
-    functions.  One integrand serves both temperatures, so a quadrature
-    point costs two Python frames, the integrand and the kernel.  The values
-    are bit-identical to ``transmittance_gf(p, eps)``.
+    For the quadrature, T(eps) is the GF transmittance in Chebyshev units,
+    built once per call: ``g = gamma/|v|``, the numerator ``g**2``, the
+    corner constants and the unit body of the continuant kernel
+    (``tridiag_core._continuant_kernel``, with the bits of n-1) are built
+    up front, so each quadrature evaluation pays only for arithmetic:
+    ``(eps0 - eps)/|v|``, the kernel's about 7*log2(n) float operations,
+    the corner split and the GF quotient, written inline, and at T > 0 the
+    occupation difference ``f_L - f_R = (tanh(b) - tanh(a))/2`` with
+    ``a, b = (eps - mu_L)/2T, (eps - mu_R)/2T``, which keeps its digits
+    where both Fermi functions are near 1/2 (T far above the bias).  One
+    integrand serves both temperatures, so a quadrature point costs two
+    Python frames, the integrand and the kernel.  The values are
+    bit-identical to ``transmittance_gf(p, eps)``.  No power of v is taken,
+    so nothing is checked before the routes run.
 
     Raises
     ------
     NumericalError
-        The corner cofactor ``v**(n-1)`` or the numerator
-        ``gamma**2 * cof**2`` leaves the double range (on both routes),
-        the padded window or its width leaves the double range,
+        The padded window or its width leaves the double range,
         ``|det C|**2`` underflows to 0 inside the window, or the quadrature
         returns a non-finite value or error estimate.
     """
@@ -630,7 +627,6 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     lo = min(bias.mu_left, bias.mu_right)
     hi = max(bias.mu_left, bias.mu_right)
     sign = 1.0 if bias.mu_left > bias.mu_right else -1.0
-    num = _gf_numerator(p)
     warm = bias.temperature > 0.0
     mu_left, mu_right, temperature = bias.mu_left, bias.mu_right, bias.temperature
     if warm:
@@ -646,13 +642,15 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
         poles = _pole_current(p, bias)
     if poles is not None:
         return CurrentResult(value=poles[0], error_estimate=poles[1], window=(lo, hi))
-    eps0, g = p.eps0, p.gamma
+    eps0, av = p.eps0, abs(float(p.v))
+    g = p.gamma / av
+    num = g * g
     q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
-    kernel = _continuant_kernel(p.v * p.v, p.n)
+    kernel = _continuant_kernel(1.0, p.n)
     tanh = math.tanh
 
     def integrand(e: float) -> float:
-        c_n, c_n1, c_n2 = kernel(eps0 - e, 0.0, 1.0)
+        c_n, c_n1, c_n2 = kernel((eps0 - e) / av, 0.0, 1.0)
         re = c_n - q * c_n2
         im = g * c_n1
         det_sq = re * re + im * im
@@ -660,9 +658,8 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
             raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
         if warm:
             # f_L - f_R with f(e) = 0.5 - 0.5*tanh(0.5*(e - mu)/T), the Fermi function.
-            occ = (0.5 - 0.5 * tanh(0.5 * (e - mu_left) / temperature)) - (
-                0.5 - 0.5 * tanh(0.5 * (e - mu_right) / temperature)
-            )
+            occ = 0.5 * (tanh(0.5 * (e - mu_right) / temperature)
+                         - tanh(0.5 * (e - mu_left) / temperature))
             return occ * (num / det_sq)
         return num / det_sq
 

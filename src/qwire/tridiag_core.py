@@ -18,10 +18,11 @@ The residual is checked modulo the Mersenne prime 2**61 - 1 first and
 computed exactly only when that check is nonzero: a reported zero means
 "zero mod 2**61 - 1", a nonzero value is exact.  The residual at one size n
 reaches A_n by index doubling in ``_continuant_kernel``, in O(log n)
-operations.  That is the package's one doubling kernel: the check runs it
-mod 2**61 - 1 (its reducing body), the exact pass on ints and Fractions,
-and ``wire_matrix.hat_dets`` on floats and arrays (its plain body, which
-never tests the modulus).  The determinant sequence,
+operations.  That is the package's one doubling kernel, with two bodies:
+the ``b2`` body serves the check mod 2**61 - 1, the exact pass on ints
+and Fractions and ``wire_matrix.hat_dets`` on floats and arrays; the unit
+body (``b2 = 1``, no modulus) runs the transmittance routes on floats and
+arrays in Chebyshev units.  The determinant sequence,
 exact or float, and the residuals at every size 2, ..., n come from one
 pass of the linear recurrence ``_continuants``; a float sequence is never
 rescaled, and one that leaves the double range raises NumericalError.
@@ -161,72 +162,85 @@ def _continuant_kernel(b2, n, modulus=None):
     A_{-1} = ``zero`` and A_0 = ``one``.  Index doubling: the constant
     coefficients give the addition formula
     ``A_{j+k} = A_j A_k - b2 A_{j-1} A_{k-1}``, so the pair (A_k, A_{k-1})
-    goes to (A_{2k}, A_{2k-1}) or (A_{2k+1}, A_{2k}) in eight operations.
-    Starting from (A_1, A_0), one such step per bit of n-1 below its top bit
-    reaches (A_{n-1}, A_{n-2}), and a last recurrence step gives A_n.
-    Building the kernel and one evaluation take at most
-    ``8*(n-1).bit_length() + 4`` operations, in place of 3n.
-
-    The loop body is chosen here, once.  Without ``modulus`` it is the plain
-    body, with no modulus test: floats, numpy arrays, ints and Fractions run
-    the same operations in the same order, so float and array results agree
-    bit for bit.  Its even step doubles by ``c + c``, exact for every type
-    and cheaper than ``2 * c`` on a float in CPython.  With ``modulus``
-    (ints only) it is the reducing body: the pair is reduced after every
-    step and the triple once at the end, so the values equal those of
-    ``_continuants`` with the same modulus.
-
-    The plain body writes each step by augmented assignment into products it
-    has just made (``t = alpha * c; t -= b2x2 * d; t *= c``).  On arrays
-    that updates in place and saves three of the eight temporaries of a
-    step; on floats, ints and Fractions it is the same arithmetic, since a
-    rounded product does not depend on operand order.  It never writes into
-    ``alpha``, ``zero``, ``one`` or the pair ``(c, d)`` it carries (at
-    k = 1, ``d`` is ``one`` itself), so the caller's arrays are left as they
-    were.  At n <= 2 the triple returns ``one`` (and at n = 1 ``zero``)
-    itself.
-
-    The bits of n-1 and ``2*b2`` depend only on the recurrence, so they are
+    goes to (A_{2k}, A_{2k-1}) or (A_{2k+1}, A_{2k}) in one step.  Starting
+    from (A_1, A_0), one such step per bit of n-1 below its top bit reaches
+    (A_{n-1}, A_{n-2}), and a last recurrence step gives A_n, in place of 3n
+    operations.  The bits of n-1 depend only on the recurrence, so they are
     taken here, once; a caller that evaluates many diagonals (energies) with
     one ``b2`` builds the kernel once and pays only for the arithmetic.
+
+    The factory picks one of two loop bodies, by the value of ``b2``:
+
+    - ``b2 == 1`` without ``modulus``: the unit body, the Chebyshev
+      recurrence ``U_k = alpha*U_{k-1} - U_{k-2}`` (``U_k = U_k(alpha/2)``
+      of the second kind).  It never multiplies by ``b2``, so a step makes
+      7 operations and the last step 2; building it and one evaluation take
+      at most ``7*(n-1).bit_length() + 2``.  The transmittance routes run it
+      in Chebyshev units, ``alpha = (eps0 - e)/|v|``, on floats and arrays.
+      It writes each step by augmented assignment into products it has just
+      made (``t = alpha * c; t -= d + d; t *= c``), which on arrays updates
+      in place, and it never writes into ``alpha``, ``zero``, ``one`` or the
+      pair ``(c, d)`` it carries (at k = 1, ``d`` is ``one`` itself), so the
+      caller's arrays are left as they were.
+    - Otherwise the ``b2`` body, 8 operations per step and 3 in the last:
+      building it and one evaluation take at most
+      ``8*(n-1).bit_length() + 4``.  It serves public ``hat_dets`` (floats
+      and arrays), the exact pass (ints and Fractions) and, with
+      ``modulus`` (ints only), the identity fingerprint: then the pair is
+      reduced after every step and the triple once at the end, so the
+      values equal those of ``_continuants`` with the same modulus.
+
+    Both bodies run the same operations in the same order for every type,
+    so float and array results agree bit for bit, and at ``b2 == 1`` they
+    agree with each other (a product by 1 is exact, and ``2*c = c + c``).
+    The unit body doubles by ``c + c`` and ``d + d``, cheaper than ``2 * c``
+    on a float in CPython; the ``b2`` body by ``2 * c``, a multiplication
+    that the fingerprint's cost count includes.  At n <= 2 the triple
+    returns ``one`` (and at n = 1 ``zero``) itself.
     """
     odd_bits = tuple(bit == "1" for bit in bin(n - 1)[3:])
-    b2x2 = 2 * b2
 
-    if modulus:
-        def reducing(alpha, zero, one):
-            c, d = one, zero  # (A_k, A_{k-1}) at k = 0
+    if b2 == 1 and not modulus:
+        def unit(alpha, zero, one):
+            c, d = one, zero  # (U_k, U_{k-1}) at k = 0
             if n > 1:
                 c, d = alpha * one, one  # k = 1
                 for odd in odd_bits:
-                    c2k = c * c - b2 * (d * d)
+                    c2k = c * c
+                    c2k -= d * d
                     if odd:
-                        c, d = c * (alpha * c - b2x2 * d) % modulus, c2k % modulus
+                        t = alpha * c
+                        t -= d + d
+                        t *= c
+                        c, d = t, c2k
                     else:
-                        c, d = c2k % modulus, d * (2 * c - alpha * d) % modulus
-            return (alpha * c - b2 * d) % modulus, c % modulus, d % modulus
+                        t = c + c
+                        t -= alpha * d
+                        t *= d
+                        c, d = c2k, t
+            u_n = alpha * c
+            u_n -= d
+            return u_n, c, d
 
-        return reducing
+        return unit
+
+    b2x2 = 2 * b2
 
     def kernel(alpha, zero, one):
         c, d = one, zero  # (A_k, A_{k-1}) at k = 0
         if n > 1:
             c, d = alpha * one, one  # k = 1
             for odd in odd_bits:
-                c2k = c * c
-                c2k -= b2 * (d * d)
+                c2k = c * c - b2 * (d * d)
                 if odd:
-                    t = alpha * c
-                    t -= b2x2 * d
-                    t *= c
-                    c, d = t, c2k
+                    c, d = c * (alpha * c - b2x2 * d), c2k
                 else:
-                    t = c + c
-                    t -= alpha * d
-                    t *= d
-                    c, d = c2k, t
-        a_n = alpha * c
-        a_n -= b2 * d
+                    c, d = c2k, d * (2 * c - alpha * d)
+                if modulus:
+                    c, d = c % modulus, d % modulus
+        a_n = alpha * c - b2 * d
+        if modulus:
+            return a_n % modulus, c % modulus, d % modulus
         return a_n, c, d
 
     return kernel

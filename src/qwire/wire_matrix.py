@@ -9,6 +9,11 @@ Only the two corner entries are complex; the corner cofactor is therefore
 real, and the determinant splits over the lead-free ("hat") determinants:
 
     det C = Chat_N + i*gamma*Chat_{N-1} - (gamma**2/4)*Chat_{N-2}
+
+Divided by |v|**N it is the same split in Chebyshev units,
+``U_N + i*g*U_{N-1} - (g**2/4)*U_{N-2}`` with ``U_k = Chat_k/|v|**k`` and
+``g = gamma/|v|`` (``_chebyshev_dets``), which is what the transmittance
+routes evaluate.
 """
 
 from __future__ import annotations
@@ -116,7 +121,9 @@ class HatDets(NamedTuple):
     """Determinants of the lead-free wire matrix at dimensions n, n-1, n-2.
 
     Conventions Chat_0 = 1 and Chat_{-1} = 0 cover the small-n cases.  The
-    fields are scalars or arrays, matching the probe-energy argument.
+    fields are scalars or arrays, matching the probe-energy argument.  The
+    same triple in Chebyshev units (each divided by |v|**k) comes from
+    ``_chebyshev_dets``; ``corner_split`` then takes ``gamma/|v|``.
     """
 
     c_n: EnergyLike
@@ -128,28 +135,21 @@ class HatDets(NamedTuple):
         return self.c_n - 0.25 * gamma * gamma * self.c_n2, gamma * self.c_n1
 
 
-def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
-    """Lead-free determinants (Chat_n, Chat_{n-1}, Chat_{n-2}) at probe energy ``eps``.
+def _diagonal_and_seeds(p: WireParams, eps: EnergyLike) -> tuple:
+    """``eps0 - eps`` and the kernel's seeds (A_{-1}, A_0), for a scalar or an array.
 
-    These are continuants with diagonal ``eps0 - eps`` and off-diagonal
-    ``-v`` (the sign of the off-diagonal is irrelevant: only its square
-    enters the recurrence).  Accepts a scalar or an array of energies.
+    A scalar (0-d) energy gives Python floats, which avoids numpy's
+    per-operation dispatch when one energy is evaluated at a time; an array
+    gives a fresh float array.  An array of energies takes the Python
+    floats 0.0 and 1.0 as seeds when n >= 3: there the seeds enter only as
+    factors of A_1 = (eps0 - eps)*1 and of the first doubling step, whose
+    products are arrays of the energies' shape with the bits that array
+    seeds would give, so no seed array is filled.  At n <= 2 a seed is
+    itself returned (A_{n-2} = 1 at n = 2; A_{n-1} = 1 and A_{n-2} = 0 at
+    n = 1), so there the seeds are arrays and every field keeps the
+    energies' shape.
 
-    Both kinds of input run ``tridiag_core._continuant_kernel``, built once
-    per call, which reaches index n by doubling in about 8*log2(n)
-    operations.  A scalar (0-d) energy runs it on Python floats, which
-    avoids numpy's per-operation dispatch when one energy is evaluated at a
-    time.  Floats and arrays go through the same operations in the same
-    order, so a scalar result is bit-identical to the corresponding element
-    of an array result.
-
-    An array of energies seeds the kernel with the Python floats 0.0 and
-    1.0 when n >= 3: there the seeds enter only as factors of
-    Chat_1 = (eps0 - eps)*1 and of the first doubling step, whose products
-    are arrays of the energies' shape with the bits that array seeds would
-    give, so no seed array is filled.  At n <= 2 a seed is itself returned
-    (Chat_{n-2} = 1 at n = 2; Chat_{n-1} = 1 and Chat_{n-2} = 0 at n = 1),
-    so there the seeds are arrays and every field keeps the energies' shape.
+    Raises ValueError for a non-finite energy.
     """
     if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
         eps = float(eps)
@@ -164,7 +164,50 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
             zero, one = np.zeros_like(eps), np.ones_like(eps)
     if not finite:
         raise ValueError("probe energy must be finite")
-    return HatDets(*_continuant_kernel(p.v * p.v, p.n)(p.eps0 - eps, zero, one))
+    return p.eps0 - eps, zero, one
+
+
+def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
+    """Lead-free determinants (Chat_n, Chat_{n-1}, Chat_{n-2}) at probe energy ``eps``.
+
+    These are continuants with diagonal ``eps0 - eps`` and off-diagonal
+    ``-v`` (the sign of the off-diagonal is irrelevant: only its square
+    enters the recurrence).  Accepts a scalar or an array of energies.
+
+    Both kinds of input run the ``b2`` body of
+    ``tridiag_core._continuant_kernel`` (``b2 = v**2``), built once per
+    call, which reaches index n by doubling in about 8*log2(n) operations;
+    a scalar runs it on Python floats, an array on numpy arrays
+    (``_diagonal_and_seeds``).  Floats and arrays go through the same
+    operations in the same order, so a scalar result is bit-identical to
+    the corresponding element of an array result.
+
+    The transmittance routes do not call this function: they run the unit
+    body on ``_chebyshev_dets``, whose values are these divided by
+    ``|v|**n``, ``|v|**(n-1)`` and ``|v|**(n-2)``.
+    """
+    alpha, zero, one = _diagonal_and_seeds(p, eps)
+    return HatDets(*_continuant_kernel(p.v * p.v, p.n)(alpha, zero, one))
+
+
+def _chebyshev_dets(p: WireParams, eps: EnergyLike) -> HatDets:
+    """The lead-free determinants in Chebyshev units, ``Chat_k / |v|**k`` for k = n, n-1, n-2.
+
+    In the form ``Chat_k = |v|**k U_k(x)``, ``x = (eps0 - eps)/(2|v|)``, the
+    fields are ``U_n``, ``U_{n-1}`` and ``U_{n-2}`` of the second kind, the
+    continuants of ``alpha = (eps0 - eps)/|v|`` with ``b2 = 1``: the unit
+    body of ``tridiag_core._continuant_kernel``, 7 operations per doubling
+    step.  No power of v is taken, and in the band (|x| <= 1)
+    ``|U_k| <= k + 1`` for every v.  For an array, ``alpha`` is divided in
+    place in the fresh ``eps0 - eps``, one pass.  Scalars and arrays give
+    the same bits, as in ``hat_dets``; at |v| = 1 these are the bits of
+    ``hat_dets``.
+
+    Raises ValueError for a non-finite energy.
+    """
+    alpha, zero, one = _diagonal_and_seeds(p, eps)
+    alpha /= abs(float(p.v))
+    return HatDets(*_continuant_kernel(1.0, p.n)(alpha, zero, one))
 
 
 def det_wire(p: WireParams, eps: EnergyLike) -> Union[complex, np.ndarray]:

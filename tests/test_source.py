@@ -91,15 +91,15 @@ def test_light_modules_import_no_numpy_or_scipy_at_module_level():
 
 
 def test_plain_continuant_kernel_writes_into_no_argument():
-    # The plain body updates its own fresh products in place.  A write into
-    # alpha, zero, one or the pair (c, d) it carries would change the
-    # caller's arrays: at k = 1, d is the caller's one.
+    # The unit body (b2 = 1, the float body of the transmittance routes)
+    # updates its own fresh products in place.  A write into alpha, zero,
+    # one or the pair (c, d) it carries would change the caller's arrays:
+    # at k = 1, d is the caller's one.
     tree = ast.parse((PACKAGE / "tridiag_core.py").read_text())
     factory = next(node for node in tree.body
                    if isinstance(node, ast.FunctionDef) and node.name == "_continuant_kernel")
-    returned = factory.body[-1].value.id  # the plain body is the factory's last return
-    plain = next(node for node in factory.body
-                 if isinstance(node, ast.FunctionDef) and node.name == returned)
+    plain = next(node for node in ast.walk(factory)
+                 if isinstance(node, ast.FunctionDef) and node.name == "unit")
     protected = {"alpha", "zero", "one", "c", "d"}
 
     def root(target):

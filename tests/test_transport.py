@@ -82,15 +82,23 @@ def test_gf_decays_far_from_band():
     assert transmittance_gf(p, -50.0) < 1e-10
 
 
-def test_gf_scalar_underflow_raises_numerical_error():
-    # 200 sites with v = 0.01: both cof**2 and |det C|**2 fall below the
-    # double range at eps = 0, so the scalar quotient would be 0/0.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_weakly_hopping_wire_gives_a_transmittance_and_a_current():
+    # 200 sites with v = 0.01: cof**2 = v**398 and |det C|**2 both fall below
+    # the double range at eps = 0, but in Chebyshev units neither is formed:
+    # g = gamma/|v| = 50 and |det C~|**2 = (1 + g**2/4)**2.
     p = WireParams(n=200, eps0=0.0, v=0.01, gamma=0.5)
-    for route in (transmittance_gf, transmittance_eo, eo_terms):
-        with pytest.raises(NumericalError):
-            route(p, 0.0)
-    with pytest.raises(NumericalError):
-        landauer_current(p, BiasWindow(0.01, -0.01))
+    t = transmittance_closed_form(p, 0.0)
+    assert 0.0 < t < 1.0
+    for route in (transmittance_gf, transmittance_eo):
+        assert route(p, 0.0) == pytest.approx(t, rel=1e-13)
+    terms = eo_terms(p, 0.0)
+    assert all(math.isfinite(x) for x in (terms.term_u1, terms.term_uN, terms.term_im))
+    # h = gamma/(2|v|) = 25 takes the quadrature, which is poor on 200 narrow
+    # peaks; the value and its error estimate are finite.
+    res = landauer_current(p, BiasWindow(0.01, -0.01))
+    assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+    assert abs(res.value) <= 0.02
 
 
 def test_gf_matches_dense_inversion():
@@ -204,42 +212,33 @@ def test_overflowing_wire_raises_without_numpy_warnings(n):
             assert t[0] == 0.0 and np.all(np.isfinite(t))
 
 
-def test_gf_numerator_overflow_raises_numerical_error():
-    # 1000 sites with v = 1.5: v**(n-1) ~ 1e176 fits in a double, its square
-    # does not, so every GF value would be inf / inf = nan.
-    p = WireParams(n=1000, eps0=0.0, v=1.5, gamma=0.5)
-    calls = [
-        lambda: transmittance_gf(p, 0.05),
-        lambda: transmittance_gf(p, np.array([0.05, 0.1])),
-        lambda: spectrum(p, -1.0, 1.0, 3, "gf"),
-        lambda: spectrum(p, -1.0, 1.0, 3, "both"),
-        lambda: equivalence_report(p, np.linspace(-1.0, 1.0, 3)),
-        lambda: landauer_current(p, BiasWindow(0.1, -0.1)),
-        lambda: landauer_current(p, BiasWindow(0.1, -0.1, temperature=0.01)),
-    ]
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_long_wires_beyond_the_cofactor_range_give_a_transmittance(n):
+    # v = 1.5: at n = 1000 v**(2n-2) ~ 1e352 and at n = 2000 v**(n-1) itself
+    # leave the double range, but no route takes a power of v, so every
+    # route returns T in [0, 1] and the current is finite, with no numpy
+    # warning.
+    p = WireParams(n=n, eps0=0.0, v=1.5, gamma=0.5)
+    grid = np.linspace(-1.0, 1.0, 3)
+    oracle = transmittance_closed_form(p, grid)
+    rtol = 1e-13 * n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in calls:
-            with pytest.raises(NumericalError, match="GF numerator"):
-                call()
-
-
-def test_cofactor_overflow_raises_numerical_error():
-    # 2000 sites with v = 1.5: v**(n-1) exceeds the double range, which a
-    # float power reports as OverflowError; every route must name the cofactor.
-    p = WireParams(n=2000, eps0=0.0, v=1.5, gamma=0.5)
-    calls = [
-        lambda: transmittance_gf(p, 0.1),
-        lambda: transmittance_eo(p, 0.1),
-        lambda: eo_terms(p, 0.1),
-        lambda: spectrum(p, -1.0, 1.0, 3, "both"),
-        lambda: equivalence_report(p, np.linspace(-1.0, 1.0, 3)),
-        lambda: landauer_current(p, BiasWindow(0.1, -0.1)),
-        lambda: landauer_current(p, BiasWindow(0.1, -0.1, temperature=0.01)),
-    ]
-    for call in calls:
-        with pytest.raises(NumericalError, match=r"v\*\*\(n-1\)"):
-            call()
+        for route in (transmittance_gf, transmittance_eo):
+            assert route(p, 0.05) == pytest.approx(transmittance_closed_form(p, 0.05), rel=rtol)
+            np.testing.assert_allclose(route(p, grid), oracle, rtol=rtol, atol=0.0)
+        terms = eo_terms(p, 0.1)
+        assert all(math.isfinite(x) for x in (terms.term_u1, terms.term_uN, terms.term_im))
+        for method in ("gf", "eo", "both"):
+            spec = spectrum(p, -1.0, 1.0, 3, method)
+            for t in (spec.t_gf, spec.t_eo):
+                if t is not None:
+                    np.testing.assert_allclose(t, oracle, rtol=rtol, atol=0.0)
+        rep = equivalence_report(p, grid)
+        assert rep.max_abs_diff <= 1e-13 and rep.max_bridge_residual_rel == 0.0
+        for temperature in (0.0, 0.01):
+            res = landauer_current(p, BiasWindow(0.1, -0.1, temperature))
+            assert math.isfinite(res.value) and 0.0 < res.value <= 0.2
 
 
 def test_eo_check_runs_under_optimize():
@@ -250,8 +249,8 @@ def test_eo_check_runs_under_optimize():
         from qwire import NumericalError, WireParams
         real = tr._eo_terms
 
-        def skewed(p, h, det_sq):
-            terms = real(p, h, det_sq)
+        def skewed(p, g, h, det_sq):
+            terms = real(p, g, h, det_sq)
             return tr.EOTerms(terms.term_u1, terms.term_uN, terms.term_im * 1.001)
 
         tr._eo_terms = skewed
@@ -291,19 +290,37 @@ def test_closed_form_transmittance_matches_dense_inversion():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 300, 1000, 3000])
 def test_routes_match_the_closed_form_transmittance_on_long_wires(n):
-    # |v| near 1 keeps v**(n-1) in range up to n = 3000.  The rounding of
-    # both sides grows with n, most near the band edges.
-    p = WireParams(n=n, eps0=0.13, v=-0.99, gamma=0.7)
+    # In Chebyshev units no power of v is taken, so |v| far from 1 works up
+    # to n = 3000 (v**2999 leaves the double range for both 0.6 and 1.4).
+    # The rounding of both sides grows with n, most near the band edges.
     rtol = 1e-13 * n
-    band = p.eps0 + 2.0 * abs(p.v) * np.linspace(-0.999, 0.999, 2001)
-    oracle = transmittance_closed_form(p, band)
-    np.testing.assert_allclose(transmittance_gf(p, band), oracle, rtol=rtol, atol=0.0)
-    # In band only: out of it the EO recombination goes slightly negative.
-    np.testing.assert_allclose(transmittance_eo(p, band), oracle, rtol=rtol, atol=0.0)
-    if n <= 300:  # beyond, the continuants grow like |w|**-n out of range
-        wide = p.eps0 + 2.5 * abs(p.v) * np.linspace(-1.0, 1.0, 1000)
+    x = np.linspace(-1.5, 1.5, 1201)
+    for v in (-0.99, 0.6, -1.4):
+        p = WireParams(n=n, eps0=0.13, v=v, gamma=0.7)
+        band = p.eps0 + 2.0 * abs(v) * np.linspace(-0.999, 0.999, 2001)
+        oracle = transmittance_closed_form(p, band)
+        np.testing.assert_allclose(transmittance_gf(p, band), oracle, rtol=rtol, atol=0.0)
+        # In band only: out of it the EO recombination goes slightly negative.
+        np.testing.assert_allclose(transmittance_eo(p, band), oracle, rtol=rtol, atol=0.0)
+        # Out of band U_k grows like |w|**-k, |w| = |x| - sqrt(x**2 - 1): GF
+        # out to |x| = 1.5 wherever |det C~|**2 ~ |w|**(-2n) stays far inside
+        # the double range.
+        reach = x[n * np.arccosh(np.maximum(np.abs(x), 1.0)) < 300.0]
+        reach = reach[np.abs(np.abs(reach) - 1.0) > 1e-3]  # the edges are 0/0 in the oracle
+        wide = p.eps0 + 2.0 * abs(v) * reach
         np.testing.assert_allclose(transmittance_gf(p, wide),
                                    transmittance_closed_form(p, wide), rtol=rtol, atol=0.0)
+
+
+def test_perfbench_wire_below_the_cofactor_range_gives_its_spectrum():
+    # v = 0.6 at n = 800: v**799 ~ 1e-177, so cof**2 and |det C|**2 underflow
+    # and the recombination check failed; in Chebyshev units neither is formed.
+    spec = spectrum(WireParams(800, 0.0, 0.6, 0.5), -0.5, 0.5, 101, "both")
+    for t in (spec.t_gf, spec.t_eo):
+        assert 0.419 <= t.min() and t.max() <= 1.0
+    assert spec.abs_diff().max() <= 1e-13
+    np.testing.assert_allclose(spec.t_gf, transmittance_closed_form(spec.params, spec.energies),
+                               rtol=1e-13 * 800, atol=0.0)
 
 
 # --- equivalence of the two routes ---------------------------------------------
@@ -329,8 +346,10 @@ def test_equivalence_gap_two_sites_hand_value():
     v = 1.7
     p = WireParams(n=2, eps0=0.0, v=v, gamma=1.0)
     rep = equivalence_report(p, np.array([0.0]))
-    # Chat_1^2 - Chat_0 Chat_2 = 0 - (-v^2) = v^2: nonzero, the identity is needed
-    assert rep.hat_gap[0] == pytest.approx(v * v, rel=1e-14)
+    # Chat_1^2 - Chat_0 Chat_2 = 0 - (-v^2) = v^2, which in Chebyshev units
+    # (U_k = Chat_k/|v|**k) is U_1^2 - U_0 U_2 = 0 - (-1) = 1: nonzero, the
+    # identity is needed
+    assert rep.hat_gap[0] == 1.0
 
 
 def _public_routes(p, grid):
@@ -376,9 +395,13 @@ def test_shared_hat_dets_bit_identical_to_public_routes():
                     equivalence_report(p, energies)
                 continue
             rep = equivalence_report(p, energies)
-            h = hat_dets(p, energies)
+            # The gap in Chebyshev units, from the unit kernel one energy at a time.
+            kernel = tridiag_core._continuant_kernel(1.0, p.n)
+            gap = []
+            for e in energies.tolist():
+                u_n, u_n1, u_n2 = kernel((p.eps0 - e) / abs(p.v), 0.0, 1.0)
+                gap.append(u_n1 * u_n1 - u_n2 * u_n)
         diff = np.abs(public[0] - public[1])
-        gap = h.c_n1 * h.c_n1 - h.c_n2 * h.c_n
         bridge = [
             abs(identity_residual(SymToeplitzTridiag(p.eps0 - e, -p.v, p.n))) if p.n > 1 else 0.0
             for e in energies
@@ -483,13 +506,15 @@ def test_equivalence_report_takes_numpy_scalar_params_as_python_scalars(broken, 
 
 
 def test_hat_dets_evaluated_once_per_call(monkeypatch):
+    # The routes read the continuants in Chebyshev units, once per call.
     calls = []
+    real = transport._chebyshev_dets
 
     def counting(p, eps):
         calls.append(eps)
-        return hat_dets(p, eps)
+        return real(p, eps)
 
-    monkeypatch.setattr(transport, "hat_dets", counting)
+    monkeypatch.setattr(transport, "_chebyshev_dets", counting)
     p = WireParams(n=6, eps0=0.1, v=0.9, gamma=0.7)
     grid = np.linspace(-2.0, 2.0, 11)
     for call in (
@@ -667,12 +692,13 @@ def test_blocked_spectrum_bit_identical_to_whole_grid_routes(points, monkeypatch
     grid = np.linspace(-1.6, 1.9, points)
     t_gf, t_eo = transmittance_gf(p, grid), transmittance_eo(p, grid)
     calls = []
+    real = transport._chebyshev_dets
 
     def counting(p, eps):
         calls.append(len(eps))
-        return hat_dets(p, eps)
+        return real(p, eps)
 
-    monkeypatch.setattr(transport, "hat_dets", counting)
+    monkeypatch.setattr(transport, "_chebyshev_dets", counting)
     for method in ("gf", "eo", "both"):
         calls.clear()
         spec = spectrum(p, -1.6, 1.9, points, method)
@@ -701,23 +727,21 @@ def test_blocked_spectrum_raises_recombination_error_of_last_block():
 
 @pytest.mark.parametrize("points", BLOCK_SIZES)
 def test_blocked_spectrum_keeps_error_order(points):
-    # 1000 sites with v = 1.5: the GF numerator overflows.  A grid whose
-    # width overflows is rejected, naming its bounds, before that; with
-    # method "eo" the numerator is never formed, and spectrum fails or
-    # succeeds as the whole-grid EO route does.
+    # 1000 sites with v = 1.5.  A grid whose width overflows is rejected,
+    # naming its bounds, before any block; otherwise spectrum fails or
+    # succeeds as the whole-grid routes do.
     p = WireParams(n=1000, eps0=0.0, v=1.5, gamma=0.5)
     for method in ("gf", "eo", "both"):
         with pytest.raises(ValueError, match=r"width .* \[-1e\+308, 1e\+308\]"):
             spectrum(p, -1e308, 1e308, points, method)
-    with pytest.raises(NumericalError, match="GF numerator"):
-        spectrum(p, -1.0, 1.0, points, "both")
     grid = np.linspace(-1.0, 1.0, points)
-    whole = _outcome(lambda: transmittance_eo(p, grid))
-    got = _outcome(lambda: spectrum(p, -1.0, 1.0, points, "eo"))
-    if isinstance(whole, tuple):
-        assert got == whole
-    else:
-        assert got.t_eo.tobytes() == whole.tobytes()
+    for method, route in (("gf", transmittance_gf), ("eo", transmittance_eo)):
+        whole = _outcome(lambda: route(p, grid))
+        got = _outcome(lambda: spectrum(p, -1.0, 1.0, points, method))
+        if isinstance(whole, tuple):
+            assert got == whole
+        else:
+            assert getattr(got, "t_" + method).tobytes() == whole.tobytes()
 
 
 def test_spectrum_temporaries_stay_block_sized():
@@ -836,33 +860,37 @@ def _quad_only(monkeypatch):
     monkeypatch.setattr(transport, "_pole_current", lambda p, bias: None)
 
 
-def _plain_fermi(e, mu, temperature):
-    return 0.5 - 0.5 * math.tanh(0.5 * (e - mu) / temperature)
+def _plain_occupation(e, bias):
+    """f_L - f_R as (tanh(b) - tanh(a))/2, which keeps its digits at any T."""
+    t = bias.temperature
+    return 0.5 * (math.tanh(0.5 * (e - bias.mu_right) / t)
+                  - math.tanh(0.5 * (e - bias.mu_left) / t))
 
 
 def _plain_gf(p, e):
     """GF transmittance from a plain index-doubling continuant loop, no library code.
 
-    (c, d) = (Chat_k, Chat_{k-1}) goes to index 2k or 2k+1 by the continuant
-    addition formula, following the bits of n-1 from the top; one recurrence
-    step then gives Chat_n.
+    In Chebyshev units: alpha = (eps0 - e)/|v|, g = gamma/|v| and
+    T = g**2/|det C~|**2.  (c, d) = (U_k, U_{k-1}) goes to index 2k or 2k+1
+    by the continuant addition formula, following the bits of n-1 from the
+    top; one recurrence step then gives U_n.
     """
-    alpha, b2, g = p.eps0 - e, p.v * p.v, p.gamma
+    av = abs(p.v)
+    alpha, g = (p.eps0 - e) / av, p.gamma / av
     if p.n == 1:
         c, d = 1.0, 0.0
     else:
         c, d = alpha * 1.0, 1.0
         m = p.n - 1
         for shift in range(m.bit_length() - 2, -1, -1):
-            c2k = c * c - b2 * (d * d)
+            c2k = c * c - d * d
             if (m >> shift) & 1:
-                c, d = c * (alpha * c - 2 * b2 * d), c2k
+                c, d = c * (alpha * c - 2 * d), c2k
             else:
                 c, d = c2k, d * (2 * c - alpha * d)
-    re = (alpha * c - b2 * d) - 0.25 * g * g * d
+    re = (alpha * c - d) - 0.25 * g * g * d
     im = g * c
-    cof = float(p.v) ** (p.n - 1)
-    return g ** 2 * cof * cof / (re * re + im * im)
+    return g * g / (re * re + im * im)
 
 
 def _plain_current(p, bias):
@@ -875,8 +903,7 @@ def _plain_current(p, bias):
         lo, hi = lo - 40.0 * t, hi + 40.0 * t
 
         def integrand(e):
-            occ = _plain_fermi(e, bias.mu_left, t) - _plain_fermi(e, bias.mu_right, t)
-            return occ * _plain_gf(p, e)
+            return _plain_occupation(e, bias) * _plain_gf(p, e)
     else:
 
         def integrand(e):
@@ -893,8 +920,8 @@ def _plain_current(p, bias):
     return value, abserr
 
 
-# Except at n = 1, g**2 * (cof * cof) rounds differently from (g**2 * cof) * cof
-# on these wires, so the test also pins the numerator's operation order.
+# (gamma/|v|)**2 need not round as gamma**2/v**2 does (they differ at
+# v = -0.7, gamma = 0.3), so the test also pins the numerator's operation order.
 @pytest.mark.parametrize("n, v, gamma", [
     (1, 1.0, 0.5), (2, -0.7, 0.3), (7, 0.7, 0.7), (40, -0.7, 1.3), (226, 0.7, 0.2),
 ])
@@ -956,6 +983,23 @@ def test_current_falls_back_to_plain_quad_on_its_own(n, v, gamma, mu, temperatur
         res = landauer_current(p, bias)
         value, abserr = _plain_current(p, bias)
     assert (res.value.hex(), res.error_estimate.hex()) == (value.hex(), abserr.hex())
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_current_far_above_the_bias_keeps_its_digits():
+    # n = 3, mu = +-1: the pole sum declines from T = 1e5 and the quadrature
+    # runs.  I*T tends to a constant as T grows; (0.5 - 0.5 tanh a) -
+    # (0.5 - 0.5 tanh b) lost everything below the ulp of 0.5 (28 % low at
+    # T = 1e16, 0.0 at 1e17), (tanh b - tanh a)/2 keeps it.
+    p = WireParams(n=3, eps0=0.0, v=1.0, gamma=0.5)
+
+    def scaled(temperature):
+        return landauer_current(p, BiasWindow(1.0, -1.0, temperature)).value * temperature
+
+    reference = scaled(1e12)
+    assert reference == pytest.approx(0.61086, rel=1e-4)
+    for temperature in (1e16, 1e17):
+        assert scaled(temperature) == pytest.approx(reference, rel=1e-6)
 
 
 def _newton_angles(n, h, count):

@@ -414,10 +414,14 @@ def test_doubling_kernel_matches_continuant_tail_property(data, n, modulus):
 
 
 def test_plain_kernel_has_no_modulus_test():
-    # The loop body is chosen when the kernel is built: the float kernel never
-    # tests ``modulus``, the reducing kernel reduces at every step.
-    assert "modulus" not in tridiag_core._continuant_kernel(0.81, 9).__code__.co_freevars
+    # The loop body is chosen when the kernel is built: the unit body (b2 = 1,
+    # the float body of the transmittance routes) never tests ``modulus`` and
+    # never multiplies by b2; the b2 body reduces at every step when given a
+    # modulus.
+    unit = tridiag_core._continuant_kernel(1.0, 9).__code__
+    assert "modulus" not in unit.co_freevars and "b2" not in unit.co_freevars
     assert "modulus" in tridiag_core._continuant_kernel(81, 9, P61).__code__.co_freevars
+    assert "b2" in tridiag_core._continuant_kernel(0.81, 9).__code__.co_freevars
 
 
 class _CountingInt(int):

@@ -21,6 +21,7 @@ from qwire import (
     first_inverse_column,
     hat_dets,
 )
+import qwire.wire_matrix as wire_matrix
 from qwire.wire_matrix import _continuant_kernel
 
 from oracles import dense_corner_cofactor, dense_det, dense_wire_matrix
@@ -275,6 +276,42 @@ def test_continuant_kernel_cost_is_logarithmic(n):
     assert [c.x for c in got] == list(_continuant_kernel(1.0, n)(0.3, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 226, 1000, 2 ** 20, 2 ** 20 + 1, 10 ** 6])
+def test_unit_continuant_kernel_takes_seven_operations_per_bit(n):
+    # The unit body (b2 = 1) of the transmittance routes: one product for
+    # U_1 = alpha*1, 7 operations per doubling step (one per bit of n-1
+    # below its top bit) and 2 in the last recurrence step, so
+    # 7*(n-1).bit_length() - 4 from n = 2 and 2 at n = 1; building it costs
+    # nothing.  The b2 body takes 8 per step and 3 in the last.
+    bits = (n - 1).bit_length()
+    _CountingFloat.ops = 0
+    got = _continuant_kernel(1.0, n)(_CountingFloat(0.3), _CountingFloat(0.0), _CountingFloat(1.0))
+    assert _CountingFloat.ops == (7 * bits - 4 if n > 1 else 2)
+    assert _CountingFloat.ops <= 7 * bits + 2
+    assert [c.x for c in got] == list(_continuant_kernel(1.0, n)(0.3, 0.0, 1.0))
+    _CountingFloat.ops = 0
+    _continuant_kernel(0.81, n)(_CountingFloat(0.3), _CountingFloat(0.0), _CountingFloat(1.0))
+    assert _CountingFloat.ops == (8 * bits - 4 if n > 1 else 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 226, 2 ** 20 + 1])
+@pytest.mark.parametrize("v", [1.0, -1.0, 0.6, -1.4])
+def test_chebyshev_dets_are_hat_dets_in_units_of_v(n, v):
+    # U_k = Chat_k / |v|**k; at |v| = 1 the unit body gives the bits of the
+    # b2 body, so the two agree exactly.
+    p = WireParams(n=n, eps0=0.2, v=v, gamma=0.4)
+    energies = 0.2 + 2.0 * abs(v) * np.linspace(-0.99, 0.99, 17)
+    unit = wire_matrix._chebyshev_dets(p, energies)
+    for e, *scalar in zip(energies.tolist(), *unit):
+        assert [x.hex() for x in scalar] == [
+            float(x).hex() for x in wire_matrix._chebyshev_dets(p, e)]
+    if abs(v) == 1.0:
+        assert [x.tobytes() for x in unit] == [x.tobytes() for x in hat_dets(p, energies)]
+    elif n <= 226:  # beyond, |v|**n leaves the double range
+        for k, got, want in zip((n, n - 1, n - 2), unit, hat_dets(p, energies)):
+            np.testing.assert_allclose(got * abs(v) ** k, want, rtol=1e-12 * n, atol=1e-12)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 226, 2 ** 20 + 1])
 def test_continuant_kernel_built_once_matches_hat_dets_per_energy(n):
     # One kernel reused over many energies, scalar and array, gives the bits
@@ -294,18 +331,20 @@ def test_continuant_kernel_built_once_matches_hat_dets_per_energy(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 226, 2 ** 20 + 1])
 def test_continuant_kernel_leaves_its_array_arguments_unchanged(n):
-    # The plain body updates its own products in place; at k = 1 its d is the
-    # caller's one, so a write into d (or alpha, zero, c) would change the
-    # caller's arrays.  The sizes cover n <= 2, odd and even steps.
-    kernel = _continuant_kernel(0.49, n)
-    alpha = np.linspace(-1.7, 1.6, 19)
-    zero, one = np.zeros_like(alpha), np.ones_like(alpha)
-    before = [x.copy() for x in (alpha, zero, one)]
-    with np.errstate(all="ignore"):
-        got = kernel(alpha, zero, one)
-        want = np.array([kernel(a, 0.0, 1.0) for a in alpha.tolist()]).T
-    assert [x.tobytes() for x in (alpha, zero, one)] == [x.tobytes() for x in before]
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    # The unit body (b2 = 1) updates its own products in place; at k = 1 its
+    # d is the caller's one, so a write into d (or alpha, zero, c) would
+    # change the caller's arrays.  The sizes cover n <= 2, odd and even
+    # steps; the b2 body runs too.
+    for b2 in (1.0, 0.49):
+        kernel = _continuant_kernel(b2, n)
+        alpha = np.linspace(-1.7, 1.6, 19)
+        zero, one = np.zeros_like(alpha), np.ones_like(alpha)
+        before = [x.copy() for x in (alpha, zero, one)]
+        with np.errstate(all="ignore"):
+            got = kernel(alpha, zero, one)
+            want = np.array([kernel(a, 0.0, 1.0) for a in alpha.tolist()]).T
+        assert [x.tobytes() for x in (alpha, zero, one)] == [x.tobytes() for x in before]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
