@@ -27,10 +27,8 @@ _EXPORTS = {
     "errors": ("BlowUpError", "ConfigError", "DomainError", "ModeError", "NumericalError",
                "PreconditionError", "QwireError", "SingularMatrixError"),
     "tridiag_core": ("EXACT", "FLOAT", "DetSequence", "SymToeplitzTridiag", "corner_cofactor",
-                     "det", "det_chebyshev", "det_sequence", "identity_residual",
-                     "identity_residuals"),
-    "wire_matrix": ("HatDets", "WireMatrix", "WireParams", "corner_cofactor_wire", "det_wire",
-                    "first_inverse_column", "hat_dets"),
+                     "det", "det_sequence", "identity_residual", "identity_residuals"),
+    "wire_matrix": ("HatDets", "WireParams", "first_inverse_column", "hat_dets"),
     "transport": ("BiasWindow", "CurrentResult", "EOTerms", "EquivalenceReport",
                   "TransmissionSpectrum", "chain_resonances", "eo_terms", "equivalence_report",
                   "landauer_current", "spectrum", "transmittance_eo", "transmittance_gf"),

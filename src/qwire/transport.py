@@ -43,6 +43,7 @@ wherever that sum's guards or its rounding bound decline it
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,11 +361,11 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
     Raises
     ------
     PreconditionError
-        Empty energy grid.
+        Empty energy grid, or one of more than one dimension.
     """
     grid = np.atleast_1d(np.asarray(energies, dtype=float))
-    if grid.size == 0:
-        raise PreconditionError("energy grid must be non-empty")
+    if grid.size == 0 or grid.ndim > 1:
+        raise PreconditionError("energy grid must be a scalar or a non-empty 1-d array")
     with np.errstate(all="ignore"):  # non-finite values raise in _eo
         g, h, det_sq = _dets(p, grid)
         t_gf = g * g / det_sq
@@ -420,8 +421,8 @@ def spectrum(
         raise ValueError(
             f"grid width e_max - e_min leaves the double range, got [{e_min}, {e_max}]"
         )
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValueError(f"need an integer count of at least 2 grid points, got {points!r}")
     if method not in ("gf", "eo", "both"):
         raise ValueError(f"method must be gf, eo or both, got {method!r}")
     grid = np.linspace(e_min, e_max, points)

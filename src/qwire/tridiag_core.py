@@ -7,8 +7,8 @@ recurrence
     A_k = alpha * A_{k-1} - beta**2 * A_{k-2},    A_0 = 1, A_{-1} = 0.
 
 This module evaluates the determinant sequence in exact (arbitrary
-precision) or double arithmetic, the Chebyshev closed form, the corner
-cofactor, and the residual of the nonlinear continuant identity
+precision) or double arithmetic, the corner cofactor, and the residual of
+the nonlinear continuant identity
 
     beta**(2n-2) = A_{n-1}**2 - A_{n-2} * A_n,
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
@@ -75,18 +74,6 @@ class SymToeplitzTridiag:
                 continue
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-
-    def to_dense(self):
-        """Assemble the matrix as a numpy array (empty (0, 0) array for n = 0)."""
-        import numpy as np
-
-        m = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            m[i, i] = self.alpha
-            if i + 1 < self.n:
-                m[i, i + 1] = self.beta
-                m[i + 1, i] = self.beta
-        return m
 
 
 @dataclass(frozen=True)
@@ -276,41 +263,6 @@ def det(m: SymToeplitzTridiag, mode: str = FLOAT):
     Raises ModeError and NumericalError as ``det_sequence``.
     """
     return det_sequence(m, mode).values[-1]
-
-
-def det_chebyshev(m: SymToeplitzTridiag) -> float:
-    """Determinant via the closed form beta**n * U_n(alpha / (2 beta)).
-
-    U_n is the Chebyshev polynomial of the second kind, evaluated by its own
-    recurrence U_k = 2x U_{k-1} - U_{k-2}; this route never touches the
-    continuant recurrence and serves as an independent cross-check of det().
-
-    Raises
-    ------
-    DomainError
-        beta = 0 (the closed form degenerates; use det(), which gives alpha**n).
-    NumericalError
-        beta**n, alpha / (2 beta) or U_n leaves the double range, so the
-        product is not finite; or beta**n underflows to zero or a subnormal
-        while U_n is nonzero, so the product has lost its precision.
-    """
-    beta = float(m.beta)
-    if beta == 0.0:
-        raise DomainError("det_chebyshev requires beta != 0")
-    x = float(m.alpha) / (2.0 * beta)
-    prev2, prev = 0.0, 1.0  # U_{-1}, U_0
-    for _ in range(m.n):
-        prev2, prev = prev, 2.0 * x * prev - prev2
-    try:
-        power = beta ** m.n
-    except OverflowError:
-        power = math.inf
-    if abs(power) < sys.float_info.min and prev != 0.0:
-        raise NumericalError(f"Chebyshev form: beta**n at n={m.n} underflows the normal double range")
-    value = power * prev
-    if not math.isfinite(value):
-        raise NumericalError(f"Chebyshev form beta**n * U_n at n={m.n} leaves the double range")
-    return value
 
 
 def corner_cofactor(m: SymToeplitzTridiag):

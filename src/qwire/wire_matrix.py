@@ -1,19 +1,21 @@
-"""Complex-cornered tridiagonal matrix of an N-site wire coupled to two leads.
+"""The wire matrix C of an N-site wire coupled to two leads, without assembling it.
 
 At probe energy ``eps`` the matrix has ``eps0 - eps`` on the diagonal,
 ``-v`` on both off-diagonals, and an extra ``+i*gamma/2`` on the (1, 1) and
 (N, N) entries from the wide-band lead self-energy.  For N = 1 the two
 corners coincide and the contributions stack to ``+i*gamma``.
 
-Only the two corner entries are complex; the corner cofactor is therefore
-real, and the determinant splits over the lead-free ("hat") determinants:
+Only the two corner entries are complex; the corner cofactor, ``v**(N-1)``
+(``tridiag_core.corner_cofactor``), is therefore real, and the determinant
+splits over the lead-free ("hat") determinants of ``hat_dets``:
 
     det C = Chat_N + i*gamma*Chat_{N-1} - (gamma**2/4)*Chat_{N-2}
 
 Divided by |v|**N it is the same split in Chebyshev units,
 ``U_N + i*g*U_{N-1} - (g**2/4)*U_{N-2}`` with ``U_k = Chat_k/|v|**k`` and
 ``g = gamma/|v|`` (``_chebyshev_dets``), which is what the transmittance
-routes evaluate.
+routes evaluate.  ``first_inverse_column`` solves ``C u = e_1`` by a sweep
+over the diagonal alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import SingularMatrixError
 from .tridiag_core import _continuant_kernel
 
 TWO_PI = 2.0 * math.pi
@@ -78,43 +80,6 @@ class WireParams:
     def v_lead(self) -> float:
         """Lead-wire coupling, from the wide-band relation gamma = 2*pi*v_lead**2/bandwidth."""
         return math.sqrt(self.gamma * self.bandwidth / TWO_PI)
-
-
-@dataclass(frozen=True)
-class WireMatrix:
-    """The wire matrix evaluated at a single probe energy."""
-
-    params: WireParams
-    energy: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.energy):
-            raise ValueError("probe energy must be finite")
-
-    def diagonal(self) -> np.ndarray:
-        p = self.params
-        d = np.full(p.n, p.eps0 - self.energy, dtype=complex)
-        d[0] += 0.5j * p.gamma
-        d[-1] += 0.5j * p.gamma  # stacks with the first entry when n == 1
-        return d
-
-    def to_dense(self) -> np.ndarray:
-        p = self.params
-        m = np.diag(self.diagonal())
-        for i in range(p.n - 1):
-            m[i, i + 1] = -p.v
-            m[i + 1, i] = -p.v
-        return m
-
-    def norm_inf(self) -> float:
-        """Maximum absolute row sum."""
-        p = self.params
-        if p.n == 1:
-            return abs(complex(p.eps0 - self.energy, p.gamma))
-        corner = abs(complex(p.eps0 - self.energy, 0.5 * p.gamma)) + abs(p.v)
-        if p.n == 2:
-            return corner
-        return max(corner, abs(p.eps0 - self.energy) + 2.0 * abs(p.v))
 
 
 class HatDets(NamedTuple):
@@ -210,36 +175,6 @@ def _chebyshev_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     return HatDets(*_continuant_kernel(1.0, p.n)(alpha, zero, one))
 
 
-def det_wire(p: WireParams, eps: EnergyLike) -> Union[complex, np.ndarray]:
-    """Determinant of the wire matrix via the corner split of ``HatDets``.
-
-    Validated against dense complex determinants in the test suite.  Accepts
-    a scalar or an array of energies.
-    """
-    re, im = hat_dets(p, eps).corner_split(p.gamma)
-    return re + 1j * im
-
-
-def corner_cofactor_wire(p: WireParams) -> float:
-    """Cofactor of the (n, 1) entry: v**(n-1), real and energy-independent.
-
-    The defining minor is triangular with ``-v`` on its diagonal and the
-    sign prefactor (-1)**(n+1) cancels the off-diagonal signs exactly.
-    Returns 1.0 for n = 1 (empty minor).
-
-    Raises
-    ------
-    NumericalError
-        ``|v|**(n-1)`` exceeds the double range.
-    """
-    try:
-        return float(p.v) ** (p.n - 1)
-    except OverflowError:
-        raise NumericalError(
-            f"corner cofactor v**(n-1) = {p.v}**{p.n - 1} leaves the double range"
-        ) from None
-
-
 def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
     """First column of the inverse wire matrix: solves C u = e_1.
 
@@ -256,12 +191,19 @@ def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        Non-finite probe energy.
     SingularMatrixError
         Residual bound violated or non-finite solution (only possible in
         the gamma -> 0 limit, which WireParams excludes).
     """
-    wm = WireMatrix(p, float(eps))
-    d = wm.diagonal()
+    eps = float(eps)
+    if not math.isfinite(eps):
+        raise ValueError("probe energy must be finite")
+    a = p.eps0 - eps
+    d = np.full(p.n, a, dtype=complex)
+    d[0] += 0.5j * p.gamma
+    d[-1] += 0.5j * p.gamma  # stacks with the first entry when n == 1
     r = np.zeros(p.n + 1, dtype=complex)  # r[n] = 0 closes the sweep
     for i in range(p.n - 1, 0, -1):
         r[i] = p.v / (d[i] - p.v * r[i + 1])
@@ -269,9 +211,14 @@ def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
     u[0] = 1.0 / (d[0] - p.v * r[1])
     for i in range(1, p.n):
         u[i] = r[i] * u[i - 1]
-    residual = _tridiag_apply(wm, u)
+    residual = _tridiag_apply(d, p.v, u)
     residual[0] -= 1.0
-    bound = 1e-10 * max(1.0, wm.norm_inf())
+    # ||C||_inf, the largest absolute row sum: a corner row holds one
+    # hopping (none at n = 1), an inner row two.
+    norm = abs(complex(d[0])) + (abs(p.v) if p.n > 1 else 0.0)
+    if p.n > 2:
+        norm = max(norm, abs(a) + 2.0 * abs(p.v))
+    bound = 1e-10 * max(1.0, norm)
     worst = float(np.max(np.abs(residual)))
     if not np.isfinite(worst) or worst > bound:
         raise SingularMatrixError(
@@ -280,10 +227,10 @@ def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
     return u
 
 
-def _tridiag_apply(wm: WireMatrix, x: np.ndarray) -> np.ndarray:
-    p = wm.params
-    y = wm.diagonal() * x
-    if p.n > 1:
-        y[:-1] += -p.v * x[1:]
-        y[1:] += -p.v * x[:-1]
+def _tridiag_apply(d: np.ndarray, v: float, x: np.ndarray) -> np.ndarray:
+    """C x for the symmetric tridiagonal C with diagonal ``d`` and ``-v`` off it."""
+    y = d * x
+    if d.size > 1:
+        y[:-1] += -v * x[1:]
+        y[1:] += -v * x[:-1]
     return y

@@ -20,6 +20,19 @@ def dense_sym_tridiag(alpha, beta, n):
     return m
 
 
+def chebyshev_det(alpha, beta, n):
+    """Closed form beta**n U_n(alpha/(2 beta)) of the n x n continuant, beta != 0.
+
+    U_n of the second kind comes from its own recurrence
+    U_k = 2x U_{k-1} - U_{k-2}, not from the continuant recurrence.
+    """
+    x = alpha / (2.0 * beta)
+    prev2, prev = 0.0, 1.0  # U_{-1}, U_0
+    for _ in range(n):
+        prev2, prev = prev, 2.0 * x * prev - prev2
+    return beta ** n * prev
+
+
 def dense_wire_matrix(p, eps):
     a = p.eps0 - eps
     m = np.zeros((p.n, p.n), dtype=complex)

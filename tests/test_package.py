@@ -12,16 +12,16 @@ PUBLIC_NAMES = {
     "EOTerms", "EXACT", "EquivalenceReport", "EvolutionTrajectory", "FLOAT", "HatDets",
     "IntegratorConfig", "ModeError", "NumericalError", "PreconditionError", "QwireError",
     "SingularMatrixError", "SteadyStateReport", "SymToeplitzTridiag", "TransmissionSpectrum",
-    "WireMatrix", "WireParams", "chain_resonances", "corner_cofactor", "corner_cofactor_wire",
-    "det", "det_chebyshev", "det_sequence", "det_wire", "eo_terms", "equivalence_report",
-    "first_inverse_column", "hat_dets", "identity_residual", "identity_residuals", "integrate",
-    "landauer_current", "spectrum", "steady_state_amplitudes", "steady_state_compare",
-    "steady_state_horizon", "transmittance_eo", "transmittance_gf", "__version__",
+    "WireParams", "chain_resonances", "corner_cofactor", "det", "det_sequence", "eo_terms",
+    "equivalence_report", "first_inverse_column", "hat_dets", "identity_residual",
+    "identity_residuals", "integrate", "landauer_current", "spectrum", "steady_state_amplitudes",
+    "steady_state_compare", "steady_state_horizon", "transmittance_eo", "transmittance_gf",
+    "__version__",
 }
 
 
 def test_all_keeps_the_public_names():
-    assert len(qwire.__all__) == len(PUBLIC_NAMES) == 45
+    assert len(qwire.__all__) == len(PUBLIC_NAMES) == 41
     assert set(qwire.__all__) == PUBLIC_NAMES
 
 

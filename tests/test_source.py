@@ -72,21 +72,38 @@ def _top_level_statements(body):
                 node.body + handlers + node.orelse + node.finalbody)
 
 
+def _numpy_or_scipy_imports(name, nodes):
+    """``name:line`` of each import of numpy or scipy among the statements ``nodes``."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] in ("numpy", "scipy") for m in modules):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
 def test_light_modules_import_no_numpy_or_scipy_at_module_level():
     # ``import qwire`` and the identity command load only these modules; the
     # numeric ones (and numpy) load on first use of their names.
     found = []
     for name in ("__init__.py", "errors.py", "tridiag_core.py", "cli.py"):
         tree = ast.parse((PACKAGE / name).read_text(), filename=name)
-        for node in _top_level_statements(tree.body):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            if any(m.split(".")[0] in ("numpy", "scipy") for m in modules):
-                found.append(f"{name}:{node.lineno}")
+        found += _numpy_or_scipy_imports(name, _top_level_statements(tree.body))
+    assert found == []
+
+
+def test_numpy_free_modules_import_no_numpy_or_scipy_anywhere():
+    # ``qwire identity`` runs on these modules alone, without numpy: no import
+    # of numpy or scipy may sit in them, not even inside a function body.
+    found = []
+    for name in ("__init__.py", "errors.py", "tridiag_core.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        found += _numpy_or_scipy_imports(name, ast.walk(tree))
     assert found == []
 
 

@@ -535,6 +535,12 @@ def test_equivalence_report_rejects_empty_grid():
         equivalence_report(p, np.array([]))
 
 
+def test_equivalence_report_rejects_grid_of_two_dimensions():
+    p = WireParams(n=2, eps0=0.0, v=1.0, gamma=1.0)
+    with pytest.raises(PreconditionError, match="1-d"):
+        equivalence_report(p, np.zeros((2, 2)))
+
+
 # --- physics sanity -------------------------------------------------------------
 
 def test_unitarity_bound_on_sweeps():
@@ -607,7 +613,9 @@ def test_spectrum_method_selects_columns():
     [(1.0, -1.0, 5, "both"), (0.0, 0.0, 5, "both"), (-1.0, 1.0, 1, "both"),
      (-1.0, 1.0, 5, "nope"), (math.nan, 1.0, 5, "both"),
      # The width overflows: a ValueError, not np.linspace's RuntimeWarning.
-     (-1e308, 1e308, 3, "both")],
+     (-1e308, 1e308, 3, "both"),
+     # A non-integral point count: a ValueError, not np.linspace's TypeError.
+     (-1.0, 1.0, 2.5, "both")],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_rejects_bad_arguments(args):

@@ -1,4 +1,4 @@
-"""Wire matrix assembly, determinant split, cofactor, and first inverse column."""
+"""Wire parameters, lead-free determinants, determinant split, cofactor, first inverse column."""
 
 import math
 from fractions import Fraction
@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from qwire import (
     EXACT,
-    NumericalError,
     SymToeplitzTridiag,
-    WireMatrix,
     WireParams,
     chain_resonances,
-    corner_cofactor_wire,
+    corner_cofactor,
     det_sequence,
-    det_wire,
     first_inverse_column,
     hat_dets,
 )
@@ -36,6 +33,12 @@ def random_params(rng, n=None):
         v=float(rng.uniform(0.1, 3)),
         gamma=float(rng.uniform(0.05, 4)),
     )
+
+
+def det_wire(p, eps):
+    """det C from the corner split of the lead-free determinants."""
+    re, im = hat_dets(p, eps).corner_split(p.gamma)
+    return re + 1j * im
 
 
 # --- parameter validation ---------------------------------------------------
@@ -412,14 +415,9 @@ def test_det_wire_energy_mirror_symmetry():
 # --- corner cofactor ---------------------------------------------------------
 
 def test_corner_cofactor_wire_values():
-    assert corner_cofactor_wire(WireParams(n=4, eps0=0.0, v=2.0, gamma=1.0)) == 8.0
-    assert corner_cofactor_wire(WireParams(n=1, eps0=0.0, v=5.0, gamma=1.0)) == 1.0
-    assert corner_cofactor_wire(WireParams(n=3, eps0=0.0, v=-2.0, gamma=1.0)) == 4.0
-
-
-def test_corner_cofactor_wire_overflow_raises_numerical_error():
-    with pytest.raises(NumericalError, match=r"v\*\*\(n-1\)"):
-        corner_cofactor_wire(WireParams(n=2000, eps0=0.0, v=1.5, gamma=0.5))
+    # The wire's corner cofactor is v**(n-1), the cofactor with beta = v.
+    for n, v, want in ((4, 2.0, 8.0), (1, 5.0, 1.0), (3, -2.0, 4.0)):
+        assert corner_cofactor(SymToeplitzTridiag(0.0, v, n)) == want
 
 
 def test_corner_cofactor_wire_matches_dense_signed_cofactor():
@@ -429,7 +427,10 @@ def test_corner_cofactor_wire_matches_dense_signed_cofactor():
         eps = float(rng.uniform(-2, 2))
         oracle = dense_corner_cofactor(dense_wire_matrix(p, eps))
         assert abs(oracle.imag) < 1e-12 * max(1.0, abs(oracle))  # cofactor is real
-        assert corner_cofactor_wire(p) == pytest.approx(oracle.real, rel=1e-10, abs=1e-12)
+        # The minor is triangular with -v on its diagonal, and the sign
+        # (-1)**(n+1) cancels the off-diagonal signs: the cofactor is v**(n-1).
+        cofactor = corner_cofactor(SymToeplitzTridiag(p.eps0 - eps, p.v, p.n))
+        assert cofactor == pytest.approx(oracle.real, rel=1e-10, abs=1e-12)
 
 
 # --- first inverse column ----------------------------------------------------
@@ -453,11 +454,10 @@ def test_first_column_solves_system_to_bound():
         p = random_params(rng, n=n)
         eps = float(rng.uniform(p.eps0 - 2.5 * p.v, p.eps0 + 2.5 * p.v))
         u = first_inverse_column(p, eps)
-        wm = WireMatrix(p, eps)
-        c = wm.to_dense()
+        c = dense_wire_matrix(p, eps)
         res = c @ u
         res[0] -= 1.0
-        assert np.max(np.abs(res)) <= 1e-10 * max(1.0, wm.norm_inf())
+        assert np.max(np.abs(res)) <= 1e-10 * max(1.0, np.max(np.sum(np.abs(c), axis=1)))
 
 
 def test_first_column_cramer_consistency():
@@ -494,27 +494,15 @@ def test_first_column_robust_at_chain_resonance():
     assert np.all(np.isfinite(u))
 
 
-# --- assembled matrix --------------------------------------------------------
-
-def test_dense_layout_has_complex_corners_and_symmetry():
-    p = WireParams(n=4, eps0=0.3, v=1.1, gamma=0.7)
-    dense = WireMatrix(p, -0.2).to_dense()
-    only_corners_complex = np.imag(dense).nonzero()
-    assert set(zip(*only_corners_complex)) == {(0, 0), (3, 3)}
-    assert np.array_equal(dense, dense.T)  # symmetric, not Hermitian
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_first_column_rejects_non_finite_energy(eps):
+    p = WireParams(n=3, eps0=0.0, v=1.0, gamma=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        first_inverse_column(p, eps)
 
 
 def test_single_site_corner_contributions_stack():
+    # At n = 1 both lead corners sit on the one site: C = eps0 - eps + i*gamma.
     p = WireParams(n=1, eps0=0.6, v=1.0, gamma=0.9)
-    wm = WireMatrix(p, 0.1)
-    assert wm.to_dense()[0, 0] == pytest.approx(0.5 + 0.9j, abs=1e-15)
-
-
-def test_norm_inf_matches_dense():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        p = random_params(rng)
-        eps = float(rng.uniform(-3, 3))
-        wm = WireMatrix(p, eps)
-        oracle = np.max(np.sum(np.abs(wm.to_dense()), axis=1))
-        assert wm.norm_inf() == pytest.approx(oracle, rel=1e-12)
+    u = first_inverse_column(p, 0.1)
+    assert u[0] == pytest.approx(1.0 / (0.5 + 0.9j), rel=1e-15)
