@@ -58,9 +58,10 @@ _T_UPPER = 1.0 + 1e-9
 _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-10
 _QUAD_LIMIT = 200
-# Newton steps of ``_pole_angles``: 3 to 7 up to h = 0.95, and 12
-# still reach every pole of n <= 400 wires at h = 0.999999 (the solved
-# half needs as many steps as a solve of all n poles).
+# Newton steps of ``_pole_angles`` from its first-order start, over
+# n = 1..400, 1000 and 3000: 2 to 4 up to h = 0.5, 3 to 5 up to h = 0.95,
+# and 4 to 5 from there to h = 1 - 1e-12.  The solved half needs as many
+# steps as a solve of all n poles.
 _NEWTON_STEPS = 12
 # A theta step at most this small leaves a root error of order its square.
 _NEWTON_TOL = 1e-13
@@ -451,10 +452,20 @@ def chain_resonances(p: WireParams) -> np.ndarray:
 def _pole_angles(n: int, h: float) -> np.ndarray | None:
     """theta_k, k = 1..n, with ``w = exp(i theta_k)`` the poles of an n-site open wire.
 
-    Newton on ``i n theta + log(w + ih) - log(1 + ihw) = i pi k`` from the
-    chain angles ``pi k/(n+1)`` (the roots at h = 0), for k = 1..ceil(n/2)
-    at once; the logs keep to their principal branches for h < 1 and
-    |w| <= 1.  The chain is bipartite with the same corner i gamma/2 at both
+    Newton on ``i n theta + log(w + ih) - log(1 + ihw) = i pi k``, for
+    k = 1..ceil(n/2) at once, taking the two logs as one, ``log(A/B)``
+    (A = w + ih, B = 1 + ihw).  That is the same equation on the solved
+    half: there Re theta <= pi/2, |w| <= 1 and h < 1, so arg A lies in
+    (0, pi/2] and Re B >= 1 - h > 0 puts arg B in [0, pi/2); the arg of
+    A/B then lies in (-pi/2, pi/2], where the principal log of the quotient
+    is the difference of the principal logs, with the same branch i pi k
+    and the same roots.  Newton starts from the roots to first order in h:
+    ``log(A/B) = i theta + 2h sin(theta) + O(h**2)`` moves the chain angles
+    ``theta_c = pi k/(n+1)`` (the roots at h = 0) to
+    ``theta_c + 2ih sin(theta_c)/(n+1)``, which keeps an odd n's middle
+    start on Re theta = pi/2.
+
+    The chain is bipartite with the same corner i gamma/2 at both
     ends, so flipping the sign on every other site maps the poles onto
     ``2 eps0 - conj(lambda)``: they pair as
     ``theta_{n+1-k} = pi - conj(theta_k)``, that is ``w -> -conj(w)`` and
@@ -465,7 +476,8 @@ def _pole_angles(n: int, h: float) -> np.ndarray | None:
     """
     half = (n + 1) // 2
     k = np.arange(1, half + 1)
-    theta = (math.pi / (n + 1)) * k + 0j
+    chain = (math.pi / (n + 1)) * k
+    theta = chain + (2j * h / (n + 1)) * np.sin(chain)
     branch = (1j * math.pi) * k
     ih = 1j * h
     q = 1.0 + h * h
@@ -473,7 +485,7 @@ def _pole_angles(n: int, h: float) -> np.ndarray | None:
         w = np.exp(1j * theta)
         a = w + ih
         b = 1.0 + ih * w
-        step = (1j * n * theta + np.log(a) - np.log(b) - branch) / (1j * (n + q * w / (a * b)))
+        step = (1j * n * theta + np.log(a / b) - branch) / (1j * (n + q * w / (a * b)))
         theta -= step
         if np.abs(step).max() <= _NEWTON_TOL:
             return np.concatenate((theta, math.pi - theta[: n - half][::-1].conj()))

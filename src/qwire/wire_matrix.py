@@ -186,16 +186,18 @@ def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
     block have imaginary part > 0 when gamma > 0, so phi_i cannot vanish at
     a real energy and no pivoting is needed, even at chain resonances where
     the lead-free leading minors do vanish.  The solution is verified to
-    satisfy the residual bound
-    ``||C u - e_1||_inf <= 1e-10 * max(1, ||C||_inf)``.
+    have a normwise backward error of at most 1e-10:
+    ``||C u - e_1||_inf <= 1e-10 * (||C||_inf ||u||_inf + 1)``.  A
+    backward-stable sweep leaves a residual of about one ulp of
+    ``||C|| ||u||``, and ``||u||`` grows like 1/gamma near a resonance, so
+    a bound without ``||u||`` would reject weakly coupled wires.
 
     Raises
     ------
     ValueError
         Non-finite probe energy.
     SingularMatrixError
-        Residual bound violated or non-finite solution (only possible in
-        the gamma -> 0 limit, which WireParams excludes).
+        Residual bound violated or non-finite solution.
     """
     eps = float(eps)
     if not math.isfinite(eps):
@@ -218,7 +220,7 @@ def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
     norm = abs(complex(d[0])) + (abs(p.v) if p.n > 1 else 0.0)
     if p.n > 2:
         norm = max(norm, abs(a) + 2.0 * abs(p.v))
-    bound = 1e-10 * max(1.0, norm)
+    bound = 1e-10 * (norm * float(np.max(np.abs(u))) + 1.0)
     worst = float(np.max(np.abs(residual)))
     if not np.isfinite(worst) or worst > bound:
         raise SingularMatrixError(

@@ -131,3 +131,16 @@ def test_plain_continuant_kernel_writes_into_no_argument():
     found += [f"line {target.lineno}" for target in element_writes if root(target) in protected]
     assert len(updates) >= 4  # the rule reads the body that updates in place
     assert found == []
+
+
+def test_pole_angles_take_one_log_per_newton_step():
+    # The loop's two logs are one, log(A/B): a log costs several times an
+    # exp, and on the solved half the quotient has the same principal branch.
+    tree = ast.parse((PACKAGE / "transport.py").read_text())
+    solver = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_pole_angles")
+    logs = [node.lineno for node in ast.walk(solver)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "log" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"]
+    assert len(logs) == 1, logs

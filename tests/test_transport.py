@@ -1010,13 +1010,14 @@ def test_current_far_above_the_bias_keeps_its_digits():
         assert scaled(temperature) == pytest.approx(reference, rel=1e-6)
 
 
-def _newton_angles(n, h, count):
-    """The Newton loop of ``_pole_angles`` on k = 1..count, with no mirror.
+def _newton_angles(n, h):
+    """All n pole angles by Newton with two logs from the chain angles, with no mirror.
 
-    ``count = n`` is the full solve that ``_pole_angles`` ran before it took
-    the upper half of the poles from the mirror.
+    The independent reference for ``_pole_angles``: the solve it ran before
+    it took the upper half of the poles from the mirror, took the two logs
+    as one and started from the first order in h.
     """
-    k = np.arange(1, count + 1)
+    k = np.arange(1, n + 1)
     theta = (math.pi / (n + 1)) * k + 0j
     branch = (1j * math.pi) * k
     ih = 1j * h
@@ -1032,22 +1033,55 @@ def _newton_angles(n, h, count):
     return None
 
 
+def _solved_half(n, h):
+    """A copy of the Newton loop of ``_pole_angles``: k = 1..ceil(n/2), no mirror."""
+    k = np.arange(1, (n + 1) // 2 + 1)
+    chain = (math.pi / (n + 1)) * k
+    theta = chain + (2j * h / (n + 1)) * np.sin(chain)
+    branch = (1j * math.pi) * k
+    ih = 1j * h
+    q = 1.0 + h * h
+    for _ in range(transport._NEWTON_STEPS):
+        w = np.exp(1j * theta)
+        a = w + ih
+        b = 1.0 + ih * w
+        step = (1j * n * theta + np.log(a / b) - branch) / (1j * (n + q * w / (a * b)))
+        theta -= step
+        if np.abs(step).max() <= transport._NEWTON_TOL:
+            return theta
+    return None
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41, 226])
 @pytest.mark.parametrize("h", [0.05, 0.5, 0.95])
 def test_pole_angles_take_the_upper_half_from_the_mirror(n, h):
     # Solved: k = 1..ceil(n/2), by Newton itself, the odd middle root
-    # included; at n = 1 that is the full solve, bit for bit.  Mirrored, bit
-    # for bit: theta_k = pi - conj(theta_{n+1-k}).  A full Newton solve lands
-    # within rounding of the mirror, and for n >= 8 here never on it.
+    # included; at n = 1 that is the whole solve.  Mirrored, bit for bit:
+    # theta_k = pi - conj(theta_{n+1-k}).  The two-log full solve from the
+    # chain angles lands within rounding of both halves.
     theta = transport._pole_angles(n, h)
     half = (n + 1) // 2
     assert theta.shape == (n,)
-    assert theta[:half].tobytes() == _newton_angles(n, h, half).tobytes()
+    assert theta[:half].tobytes() == _solved_half(n, h).tobytes()
     for k in range(half + 1, n + 1):
         assert theta[k - 1] == math.pi - theta[n - k].conjugate()
-    assert np.abs(theta - _newton_angles(n, h, n)).max() <= 4e-15
+    assert np.abs(theta - _newton_angles(n, h)).max() <= 4e-15
     if n % 2:
         assert abs(theta[half - 1].real - 0.5 * math.pi) <= 4e-15
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 0.6, 0.9, 0.95, 0.99, 0.999, 0.9999, 0.999999])
+def test_pole_angles_solve_the_two_log_equation_up_to_the_transition(h):
+    # On the solved half (Re theta <= pi/2, |w| <= 1, h < 1) the principal
+    # log of A/B is log A - log B, so the one-log loop has the two-log
+    # equation's roots.  Near h = 1 two poles close in on each other.
+    for n in [*range(1, 41), 60, 100, 101, 200, 201, 400]:
+        theta = transport._pole_angles(n, h)
+        assert theta is not None, n
+        assert np.abs(theta - _newton_angles(n, h)).max() <= 1e-12, n
+        w = np.exp(1j * theta[: (n + 1) // 2])
+        a, b = w + 1j * h, 1.0 + 1j * h * w
+        assert np.abs(np.log(a / b) - (np.log(a) - np.log(b))).max() <= 1e-14, n
 
 
 @pytest.mark.parametrize("h", [0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999])
@@ -1064,6 +1098,18 @@ def test_poles_match_dense_eigenvalues_near_the_transition(h):
         dense = np.linalg.eigvals(dense_wire_matrix(p, 0.0))
         gap = np.abs(lam[:, None] - dense[None, :])
         assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-13, n
+
+
+@pytest.mark.parametrize("n", [7, 101])
+@pytest.mark.parametrize("temperature", [0.0, 0.05])
+def test_pole_sum_takes_currents_next_to_the_transition(n, temperature):
+    # h = 1 - 1e-12: from the chain angles Newton needed more than
+    # _NEWTON_STEPS steps and the quadrature ran; from the first-order start
+    # it needs 5.
+    p = WireParams(n=n, eps0=0.0, v=1.0, gamma=2.0 * (1.0 - 1e-12))
+    bias = BiasWindow(0.7, -0.4, temperature)
+    assert transport._pole_current(p, bias) is not None
+    _assert_matches_pole_oracle(p, bias)
 
 
 def test_pole_sum_declines_a_doubled_pole(monkeypatch):
@@ -1108,7 +1154,7 @@ def _assert_matches_pole_oracle(p, bias):
     eps0=st.floats(-1.0, 1.0),
     v=st.floats(0.1, 2.0),
     v_sign=st.sampled_from([-1.0, 1.0]),
-    h=st.floats(0.005, 0.95),
+    h=st.floats(0.005, 0.99),
     centre=st.floats(-1.0, 1.0),
     half_width=st.floats(0.05, 3.0),
     temperature=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
@@ -1117,9 +1163,10 @@ def _assert_matches_pole_oracle(p, bias):
 def test_current_matches_dense_pole_sum(n, eps0, v, v_sign, h, centre, half_width,
                                         temperature, forward):
     # Windows centred in the band, 2.5 % to 1.5 band widths wide; h up to
-    # 0.95, where two poles approach each other.  Far outside the band the
-    # current is a small remainder of O(1) terms, which the oracle's own
-    # rounding (about 1e-16 of them) no longer resolves.
+    # 0.99, near the transition at h = 1, where two poles approach each
+    # other and Newton's first-order start is at its poorest.  Far outside
+    # the band the current is a small remainder of O(1) terms, which the
+    # oracle's own rounding (about 1e-16 of them) no longer resolves.
     p = WireParams(n=n, eps0=eps0, v=v_sign * v, gamma=2.0 * h * v)
     mid, half = eps0 + 2.0 * v * centre, v * half_width
     mu = (mid + half, mid - half) if forward else (mid - half, mid + half)

@@ -1,6 +1,8 @@
 """Wire parameters, lead-free determinants, determinant split, cofactor, first inverse column."""
 
+import inspect
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from qwire import (
     EXACT,
+    SingularMatrixError,
     SymToeplitzTridiag,
     WireParams,
     chain_resonances,
@@ -492,6 +495,47 @@ def test_first_column_robust_at_chain_resonance():
     eps = 2.0 * math.cos(math.pi / 6.0)
     u = first_inverse_column(p, eps)
     assert np.all(np.isfinite(u))
+
+
+def test_first_column_of_a_weakly_coupled_wire_solves():
+    # ||u|| grows like 1/gamma near a resonance, and so does a backward-stable
+    # residual: a bound of 1e-10 max(1, ||C||) rejected this wire (residual
+    # 4.657e-10 against 3.717e-10).
+    p = WireParams(n=69, eps0=0.0, v=1.0, gamma=1e-6)
+    eps = 1.7168975872037322
+    u = first_inverse_column(p, eps)
+    e1 = np.zeros(p.n)
+    e1[0] = 1.0
+    want = np.linalg.solve(dense_wire_matrix(p, eps), e1)
+    assert np.max(np.abs(u - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-8])
+def test_first_column_accepts_weakly_coupled_wires_at_resonances(gamma):
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        p = WireParams(n=int(rng.integers(1, 201)), eps0=0.0, v=1.0, gamma=gamma)
+        for eps in (float(rng.uniform(-2.0, 2.0)),
+                    float(chain_resonances(p)[rng.integers(p.n)])):
+            assert np.all(np.isfinite(first_inverse_column(p, eps)))
+
+
+def test_first_column_check_catches_a_sign_slip_in_the_sweep():
+    # The residual check must still reject a wrong solution: rebuild
+    # first_inverse_column with the sweep's sign flipped, which changes r
+    # from n = 3 on (at n = 2 it multiplies r_n+1 = 0).
+    source = textwrap.dedent(inspect.getsource(wire_matrix.first_inverse_column))
+    slipped = source.replace("d[i] - p.v * r[i + 1]", "d[i] + p.v * r[i + 1]")
+    assert slipped != source
+    namespace = dict(vars(wire_matrix))
+    exec(slipped, namespace)
+    mutant = namespace["first_inverse_column"]
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        p = random_params(rng, n=int(rng.integers(3, 201)))
+        eps = float(rng.uniform(p.eps0 - 2.5 * p.v, p.eps0 + 2.5 * p.v))
+        with pytest.raises(SingularMatrixError):
+            mutant(p, eps)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
