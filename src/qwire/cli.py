@@ -9,8 +9,10 @@ so an abbreviation such as ``--conf`` works and the last one wins, as for
 every flag; a ``--config`` before the subcommand is an argparse error.
 Exit codes: 0 success, 2 invalid arguments or parameters, 1 runtime failure.
 
-Each subcommand is one ``COMMANDS`` entry.  ``main`` lists every name but
-adds options only to the subcommand it runs.  The module loads only
+Each subcommand is one ``COMMANDS`` entry.  ``main`` builds one parser per
+call, the one of the command it runs; the top-level parser, which lists every
+name, is built only for top-level help, a missing or unknown command, or an
+unrecognized argument.  The module loads only
 ``tridiag_core`` and ``errors``; a command that needs numpy imports it when it
 runs, so ``identity``, help and argument errors never load numpy.
 """
@@ -338,21 +340,39 @@ def _config_path(args: list[str]) -> str | None:
         return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _top_level_parser() -> argparse.ArgumentParser:
+    """``qwire`` with one bare subparser per command: its help, usage and errors."""
     parser = argparse.ArgumentParser(
         prog="qwire",
         description="Tridiagonal continuant identities and quantum-wire transmittance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=entry[0]) for name, entry in COMMANDS.items()}
-    # argparse dispatches on argv[0], so only that subcommand needs its options.
+    for name, entry in COMMANDS.items():
+        sub.add_parser(name, help=entry[0])
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one ``qwire`` command line; return its exit code.
+
+    A known command in ``argv[0]`` builds only its own parser, the one the
+    top-level parser's ``add_parser`` would give (``prog="qwire <name>"``).
+    The top-level parser is built only for ``-h``, a missing or unknown
+    command, or arguments the command does not know, which it reports as
+    argparse does.  ``--config`` is pre-parsed only when a token after the
+    command starts with ``--c``, as every spelling argparse takes for it
+    does.  Nothing is kept between calls.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
     if command in COMMANDS:
         _, add_options, _, default_format = COMMANDS[command]
-        add_options(parsers[command])
-        _add_output_options(parsers[command], default_format)
-        config_path = _config_path(argv[1:])
+        parser = argparse.ArgumentParser(prog=f"qwire {command}")
+        add_options(parser)
+        _add_output_options(parser, default_format)
+        # Every spelling argparse takes for --config starts with --c.
+        config_path = (_config_path(argv[1:])
+                       if any(arg.startswith("--c") for arg in argv[1:]) else None)
         if config_path is not None:
             try:
                 config = _load_config(config_path)
@@ -362,8 +382,12 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 print(f"qwire: {exc}", file=sys.stderr)
                 return 2
-            _apply_config(parsers[command], config)
-    args = parser.parse_args(argv)
+            _apply_config(parser, config)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
+        if extras:
+            _top_level_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = _top_level_parser().parse_args(argv)
     try:
         globals()[COMMANDS[args.command][2]](args)
     except (RuntimeError, OSError) as exc:  # first: runtime-class QwireErrors exit 1

@@ -480,12 +480,13 @@ def _pole_angles(n: int, h: float) -> np.ndarray | None:
     theta = chain + (2j * h / (n + 1)) * np.sin(chain)
     branch = (1j * math.pi) * k
     ih = 1j * h
-    q = 1.0 + h * h
+    iq = 1j * (1.0 + h * h)
     for _ in range(_NEWTON_STEPS):
-        w = np.exp(1j * theta)
+        it = 1j * theta
+        w = np.exp(it)
         a = w + ih
         b = 1.0 + ih * w
-        step = (1j * n * theta + np.log(a / b) - branch) / (1j * (n + q * w / (a * b)))
+        step = (n * it + np.log(a / b) - branch) / (1j * n + iq * w / (a * b))
         theta -= step
         if np.abs(step).max() <= _NEWTON_TOL:
             return np.concatenate((theta, math.pi - theta[: n - half][::-1].conj()))

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Union
+from typing import Union
 
 from .errors import DomainError, ModeError, NumericalError
 
@@ -52,32 +51,57 @@ Scalar = Union[int, float, Fraction]
 _FINGERPRINT_PRIME = 2 ** 61 - 1
 
 
-@dataclass(frozen=True)
-class SymToeplitzTridiag:
+class _Frozen:
+    """Immutable record with value equality, hash and repr over ``_fields``."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SymToeplitzTridiag(_Frozen):
     """Symmetric Toeplitz tridiagonal matrix: ``alpha`` diagonal, ``beta`` off-diagonal.
 
     ``n = 0`` denotes the empty matrix (determinant 1).
     """
 
-    alpha: Scalar
-    beta: Scalar
-    n: int
+    _fields = ("alpha", "beta", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
-            raise ValueError(f"dimension must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"dimension must be >= 0, got {self.n}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
+    def __init__(self, alpha: Scalar, beta: Scalar, n: int):
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ValueError(f"dimension must be an integer, got {n!r}")
+        if n < 0:
+            raise ValueError(f"dimension must be >= 0, got {n}")
+        for name, value in (("alpha", alpha), ("beta", beta)):
             if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
                 continue
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class DetSequence:
+class DetSequence(_Frozen):
     """Determinant sequence [A_0, ..., A_n] as ints or Fractions (exact) or floats.
 
     ``scale_exponent`` is always 0: the values are the determinants
@@ -86,8 +110,11 @@ class DetSequence:
     scale with ``math.ldexp(value, scale_exponent)``.
     """
 
-    values: tuple
-    scale_exponent: ClassVar[int] = 0
+    _fields = ("values",)
+    scale_exponent = 0
+
+    def __init__(self, values: tuple):
+        object.__setattr__(self, "values", values)
 
 
 def _as_exact(value: Scalar, name: str) -> Union[int, Fraction]:

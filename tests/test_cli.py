@@ -1,5 +1,6 @@
 """Command-line interface: golden regressions, exit codes, formats, config."""
 
+import argparse
 import json
 import math
 import pathlib
@@ -653,6 +654,112 @@ def test_wire_param_validation_exits_2():
     assert out == ""
 
 
+
+# --- parsers ----------------------------------------------------------------------------
+
+def reference_main(argv):
+    """``cli.main`` as it was when every call built the top-level parser, its four
+    subparsers and the ``--config`` pre-parser: the reference for stdout, stderr
+    and exit codes."""
+    argv = list(argv)
+    parser = argparse.ArgumentParser(
+        prog="qwire",
+        description="Tridiagonal continuant identities and quantum-wire transmittance.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=entry[0]) for name, entry in cli.COMMANDS.items()}
+    command = argv[0] if argv else None
+    if command in cli.COMMANDS:
+        _, add_options, _, default_format = cli.COMMANDS[command]
+        add_options(parsers[command])
+        cli._add_output_options(parsers[command], default_format)
+        config_path = cli._config_path(argv[1:])
+        if config_path is not None:
+            try:
+                config = cli._load_config(config_path)
+            except OSError as exc:
+                print(f"qwire: cannot read config: {exc}", file=sys.stderr)
+                return 2
+            except ValueError as exc:
+                print(f"qwire: {exc}", file=sys.stderr)
+                return 2
+            cli._apply_config(parsers[command], config)
+    args = parser.parse_args(argv)
+    try:
+        getattr(cli, cli.COMMANDS[args.command][2])(args)
+    except (RuntimeError, OSError) as exc:
+        print(f"qwire: {exc}", file=sys.stderr)
+        return 1
+    except (cli.QwireError, ValueError) as exc:
+        print(f"qwire: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def outcome(main, argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_prints_what_the_six_parser_main_printed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=3\nbeta=1\nn-max=4\n")
+    bad_key = tmp_path / "bad.cfg"
+    bad_key.write_text("alpha=3\nbogus=1\n")
+    identity = GOLDEN_INVOCATIONS["identity.csv"]
+    current = GOLDEN_INVOCATIONS["current.json"]
+    cases = [
+        *([name, "-h"] for name in cli.COMMANDS), ["-h"], [],
+        *GOLDEN_INVOCATIONS.values(),
+        ["bogus"], ["--", "spectrum", "--v", "1"], ["--config", str(cfg), "identity"],
+        identity[:5],                                    # --n-max missing
+        identity[:6] + ["eight"],                        # not an int
+        current + ["--format", "xml"],                   # not a choice
+        identity + ["--bogus"],                          # reported with the top-level usage
+        identity + ["--", "extra"],
+        ["identity", "--conf", str(cfg)], ["identity", "--c", str(cfg)],
+        ["identity", "--config="], identity + ["--config"],
+        ["identity", "--config", str(tmp_path / "absent.cfg")],
+        ["identity", "--config", str(bad_key)],
+    ]
+    assert len(cases) == 24
+    for argv in cases:
+        want = outcome(reference_main, argv, capsys)
+        assert outcome(cli.main, argv, capsys) == want, argv
+        assert want[2] or want[0] == 0, argv
+
+
+def test_each_call_builds_only_the_parser_it_runs(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=3\nbeta=1\nn-max=4\n")
+    for argv in GOLDEN_INVOCATIONS.values():
+        built.clear()
+        assert cli.main(argv) == 0
+        assert built == [f"qwire {argv[0]}"]
+    for flag in ("--config", "--conf"):
+        built.clear()
+        assert cli.main(["identity", flag, str(cfg)]) == 0
+        assert built == ["qwire identity", None]  # the command and the pre-parser
+    for argv in (["-h"], ["bogus"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert built == ["qwire", *(f"qwire {name}" for name in cli.COMMANDS)]
+    capsys.readouterr()
+
 # --- help -----------------------------------------------------------------------------
 
 WIRE_FLAGS = ["-N SITES, --sites SITES", "--eps0 EPS0", "--v V", "--gamma GAMMA",
@@ -775,3 +882,26 @@ def test_import_identity_help_and_argument_errors_load_no_numpy():
     assert after_import == ["qwire.errors"]
     assert "numpy" not in after_four
     assert loaded_by_spectrum  # the probe does see numpy once it is imported
+
+
+def test_identity_and_help_load_no_dataclasses():
+    # tridiag_core writes its two records by hand: dataclasses imports inspect,
+    # which the identity command and help would otherwise load for them alone.
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from qwire import cli
+
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in json.loads(sys.argv[1]):
+                try:
+                    codes.append(cli.main(argv))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+        print(json.dumps([codes, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+    """)
+    argv = [GOLDEN_INVOCATIONS["identity.csv"], ["-h"]]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], []]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qwire import (
     EXACT,
     FLOAT,
+    DetSequence,
     DomainError,
     ModeError,
     NumericalError,
@@ -586,3 +587,33 @@ def test_rejects_bad_dimension():
         SymToeplitzTridiag(1.0, 1.0, -1)
     with pytest.raises(ValueError):
         SymToeplitzTridiag(1.0, 1.0, 2.5)
+
+
+def test_records_compare_hash_print_and_refuse_assignment():
+    # The two records keep the behaviour of frozen dataclasses without importing
+    # dataclasses: value equality and hash, the field repr, no assignment.
+    m = SymToeplitzTridiag(alpha=3, beta=Fraction(1, 2), n=4)
+    assert m == SymToeplitzTridiag(3, Fraction(1, 2), 4)
+    assert m != SymToeplitzTridiag(3, Fraction(1, 2), 5)
+    assert m != (3, Fraction(1, 2), 4)
+    assert hash(m) == hash(SymToeplitzTridiag(3, Fraction(1, 2), 4))
+    assert repr(m) == "SymToeplitzTridiag(alpha=3, beta=Fraction(1, 2), n=4)"
+    seq = det_sequence(SymToeplitzTridiag(2, 1, 2), EXACT)
+    assert seq == DetSequence(values=(1, 2, 3))
+    assert hash(seq) == hash(DetSequence((1, 2, 3)))
+    assert repr(seq) == "DetSequence(values=(1, 2, 3))"
+    assert DetSequence.scale_exponent == seq.scale_exponent == 0
+    for record, name in ((m, "n"), (m, "other"), (seq, "values"), (seq, "scale_exponent")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert (m.alpha, m.beta, m.n, seq.values) == (3, Fraction(1, 2), 4, (1, 2, 3))
+    for args, message in (((1.0, 1.0, -1), "dimension must be >= 0, got -1"),
+                          ((1.0, 1.0, 2.5), "dimension must be an integer, got 2.5"),
+                          ((1.0, 1.0, True), "dimension must be an integer, got True"),
+                          ((math.nan, 1.0, 3), "alpha must be finite, got nan"),
+                          ((1.0, -math.inf, 3), "beta must be finite, got -inf")):
+        with pytest.raises(ValueError) as info:
+            SymToeplitzTridiag(*args)
+        assert str(info.value) == message
