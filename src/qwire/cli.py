@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import tridiag_core
@@ -330,6 +331,35 @@ COMMANDS = {
 }
 
 
+# A negative decimal literal, exponent included: "-3", "-.5", "-1e-3", "-2.5E+00".
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _attach_negative_values(args: list[str]) -> list[str]:
+    """``args`` with each negative number that follows an option attached to it.
+
+    ``--from -1e-3`` becomes ``--from=-1e-3``.  Python 3.11's argparse takes
+    a token such as ``-1e-3`` or ``-2.5E+00`` for an option, since its
+    negative-number pattern has no exponent, and then reports that the
+    option before it expected one argument; the attached form is a value in
+    every version.  Every option but help takes one value, so a number is
+    attached to a bare long option or a two-character short one, other than
+    help; nothing from ``--`` on is touched.
+    """
+    out: list[str] = []
+    for i, arg in enumerate(args):
+        if arg == "--":
+            return out + args[i:]
+        prev = out[-1] if out else ""
+        long_option = prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+        short_option = len(prev) == 2 and prev[0] == "-" and prev[1].isalpha() and prev != "-h"
+        if (long_option or short_option) and _NEGATIVE_NUMBER.fullmatch(arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _config_path(args: list[str]) -> str | None:
     """The ``--config`` value argparse keeps: abbreviations, ``=`` and last-wins alike."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
@@ -366,6 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
     if command in COMMANDS:
+        argv[1:] = _attach_negative_values(argv[1:])
         _, add_options, _, default_format = COMMANDS[command]
         parser = argparse.ArgumentParser(prog=f"qwire {command}")
         add_options(parser)

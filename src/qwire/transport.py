@@ -372,10 +372,7 @@ def equivalence_report(p: WireParams, energies: EnergyLike) -> EquivalenceReport
         t_gf = g * g / det_sq
         t_eo, gap = _eo(p, g, h, det_sq)
     diff = np.abs(t_gf - t_eo)
-    if p.n > 1:
-        passes = _residuals((p.eps0 - grid).tolist(), float(-p.v), FLOAT, p.n, p.n)
-    else:
-        passes = [([0.0], False)] * grid.size
+    passes = _residuals((p.eps0 - grid).tolist(), float(-p.v), FLOAT, p.n, p.n)
     bridge = np.array([abs(values[0]) for values, _ in passes])
     return EquivalenceReport(
         energies=grid,
@@ -619,7 +616,8 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     corner constants and the unit body of the continuant kernel
     (``tridiag_core._continuant_kernel``, with the bits of n-1) are built
     up front, so each quadrature evaluation pays only for arithmetic:
-    ``(eps0 - eps)/|v|``, the kernel's about 7*log2(n) float operations,
+    ``alpha = (eps0 - eps)/|v|``, the kernel's about 7*log2(n) float
+    operations on ``kernel(alpha)`` (which starts from U_0 = 1 itself),
     the corner split and the GF quotient, written inline, and at T > 0 the
     occupation difference ``f_L - f_R = (tanh(b) - tanh(a))/2`` with
     ``a, b = (eps - mu_L)/2T, (eps - mu_R)/2T``, which keeps its digits
@@ -664,7 +662,7 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     tanh = math.tanh
 
     def integrand(e: float) -> float:
-        c_n, c_n1, c_n2 = kernel((eps0 - e) / av, 0.0, 1.0)
+        c_n, c_n1, c_n2 = kernel((eps0 - e) / av)
         re = c_n - q * c_n2
         im = g * c_n1
         det_sq = re * re + im * im

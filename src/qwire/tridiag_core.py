@@ -6,6 +6,10 @@ recurrence
 
     A_k = alpha * A_{k-1} - beta**2 * A_{k-2},    A_0 = 1, A_{-1} = 0.
 
+That start is part of the recurrence, so no caller passes it: the linear
+pass ``_continuants`` and the doubling kernel ``_continuant_kernel`` begin
+from A_0 = 1 and A_1 = alpha themselves.
+
 This module evaluates the determinant sequence in exact (arbitrary
 precision) or double arithmetic, the corner cofactor, and the residual of
 the nonlinear continuant identity
@@ -155,51 +159,70 @@ def _inputs(m: SymToeplitzTridiag, mode: str) -> tuple:
 def _continuants(alpha, b2, n: int, modulus: int | None = None):
     """Yield A_0, A_1, ..., A_n of the recurrence, mod ``modulus`` if given.
 
-    A_{-1} = 0 and A_0 = 1 take the type of ``b2``, so floats, ints and
-    Fractions run one loop: floats round once per operation, ints and
-    Fractions are exact.
+    A_0 = ``b2**0`` is 1 in the type of ``b2`` and A_1 = alpha*A_0, so
+    floats, ints and Fractions run one loop: floats round once per
+    operation, ints and Fractions are exact.  No product ``b2 * A_{-1}`` is
+    formed: where beta**2 overflows to inf it would be nan, and A_0 and A_1
+    are finite for any finite alpha.
     """
-    prev2 = 0 * b2
-    prev = prev2 + 1
+    if modulus:
+        alpha %= modulus
+    prev = b2 ** 0
     yield prev
-    for _ in range(n):
-        prev2, prev = prev, alpha * prev - b2 * prev2
-        if modulus:
-            prev %= modulus
+    if n:
+        prev2, prev = prev, alpha * prev
         yield prev
+        for _ in range(n - 1):
+            prev2, prev = prev, alpha * prev - b2 * prev2
+            if modulus:
+                prev %= modulus
+            yield prev
 
 
 def _continuant_kernel(b2, n, modulus=None):
     """The continuant kernel of ``A_k = alpha*A_{k-1} - b2*A_{k-2}`` at index n >= 1.
 
-    ``kernel(alpha, zero, one)`` returns (A_n, A_{n-1}, A_{n-2}) with
-    A_{-1} = ``zero`` and A_0 = ``one``.  Index doubling: the constant
+    ``kernel(alpha)`` returns (A_n, A_{n-1}, A_{n-2}) of the recurrence's
+    own start, A_0 = 1 and A_{-1} = 0.  Index doubling: the constant
     coefficients give the addition formula
     ``A_{j+k} = A_j A_k - b2 A_{j-1} A_{k-1}``, so the pair (A_k, A_{k-1})
     goes to (A_{2k}, A_{2k-1}) or (A_{2k+1}, A_{2k}) in one step.  Starting
-    from (A_1, A_0), one such step per bit of n-1 below its top bit reaches
-    (A_{n-1}, A_{n-2}), and a last recurrence step gives A_n, in place of 3n
-    operations.  The bits of n-1 depend only on the recurrence, so they are
-    taken here, once; a caller that evaluates many diagonals (energies) with
-    one ``b2`` builds the kernel once and pays only for the arithmetic.
+    from (A_1, A_0) = (alpha, 1), one such step per bit of n-1 below its top
+    bit reaches (A_{n-1}, A_{n-2}), and a last recurrence step gives A_n, in
+    place of 3n operations.  The bits of n-1 depend only on the recurrence,
+    so they are taken here, once; a caller that evaluates many diagonals
+    (energies) with one ``b2`` builds the kernel once and pays only for the
+    arithmetic.
+
+    The seeds are the ints 1 and 0, never values computed from alpha (which
+    may be inf): a product or sum with an int keeps the bits and the type
+    of a float, an array or a Fraction, and keeps ints exact.  At n <= 2
+    the triple returns the seed 1 (and at n = 1 the seed 0 and alpha
+    itself, reduced by ``modulus`` if given); ``wire_matrix`` turns those
+    into floats or arrays of the energies' shape.
 
     The factory picks one of two loop bodies, by the value of ``b2``:
 
     - ``b2 == 1`` without ``modulus``: the unit body, the Chebyshev
       recurrence ``U_k = alpha*U_{k-1} - U_{k-2}`` (``U_k = U_k(alpha/2)``
       of the second kind).  It never multiplies by ``b2``, so a step makes
-      7 operations and the last step 2; building it and one evaluation take
-      at most ``7*(n-1).bit_length() + 2``.  The transmittance routes run it
-      in Chebyshev units, ``alpha = (eps0 - e)/|v|``, on floats and arrays.
-      It writes each step by augmented assignment into products it has just
-      made (``t = alpha * c; t -= d + d; t *= c``), which on arrays updates
-      in place, and it never writes into ``alpha``, ``zero``, ``one`` or the
-      pair ``(c, d)`` it carries (at k = 1, ``d`` is ``one`` itself), so the
-      caller's arrays are left as they were.
+      7 operations and the last step 2: one evaluation takes exactly
+      ``7*(n-1).bit_length() - 5`` from n = 2 and none at n = 1, and
+      building it none.  From n = 3 the first step's ``d * d`` (and
+      ``d + d`` when that step is odd) acts on the int seed alone, so on
+      arrays it makes no elementwise pass.  The transmittance routes run
+      it in Chebyshev units, ``alpha = (eps0 - e)/|v|``, on floats and
+      arrays; the exact pass runs it on ints when |beta| = 1.  It writes
+      each step by augmented assignment into products it has just made
+      (``t = alpha * c; t -= d + d; t *= c``), which on arrays updates in
+      place, and it never writes into ``alpha`` or the pair ``(c, d)`` it
+      carries (at k = 1, ``c`` is ``alpha`` itself), so the caller's arrays
+      are left as they were.
     - Otherwise the ``b2`` body, 8 operations per step and 3 in the last:
-      building it and one evaluation take at most
-      ``8*(n-1).bit_length() + 4``.  It serves public ``hat_dets`` (floats
-      and arrays), the exact pass (ints and Fractions) and, with
+      building it (``2 * b2``) and one evaluation take exactly
+      ``8*(n-1).bit_length() - 4`` from n = 2 and 1 at n = 1, within the
+      bound ``8*(n-1).bit_length() + 4``.  It serves public ``hat_dets``
+      (floats and arrays), the exact pass (ints and Fractions) and, with
       ``modulus`` (ints only), the identity fingerprint: then the pair is
       reduced after every step and the triple once at the end, so the
       values equal those of ``_continuants`` with the same modulus.
@@ -209,29 +232,28 @@ def _continuant_kernel(b2, n, modulus=None):
     agree with each other (a product by 1 is exact, and ``2*c = c + c``).
     The unit body doubles by ``c + c`` and ``d + d``, cheaper than ``2 * c``
     on a float in CPython; the ``b2`` body by ``2 * c``, a multiplication
-    that the fingerprint's cost count includes.  At n <= 2 the triple
-    returns ``one`` (and at n = 1 ``zero``) itself.
+    that the fingerprint's cost count includes.
     """
     odd_bits = tuple(bit == "1" for bit in bin(n - 1)[3:])
 
     if b2 == 1 and not modulus:
-        def unit(alpha, zero, one):
-            c, d = one, zero  # (U_k, U_{k-1}) at k = 0
-            if n > 1:
-                c, d = alpha * one, one  # k = 1
-                for odd in odd_bits:
-                    c2k = c * c
-                    c2k -= d * d
-                    if odd:
-                        t = alpha * c
-                        t -= d + d
-                        t *= c
-                        c, d = t, c2k
-                    else:
-                        t = c + c
-                        t -= alpha * d
-                        t *= d
-                        c, d = c2k, t
+        def unit(alpha):
+            if n == 1:
+                return alpha, 1, 0
+            c, d = alpha, 1  # (U_k, U_{k-1}) at k = 1
+            for odd in odd_bits:
+                c2k = c * c
+                c2k -= d * d
+                if odd:
+                    t = alpha * c
+                    t -= d + d
+                    t *= c
+                    c, d = t, c2k
+                else:
+                    t = c + c
+                    t -= alpha * d
+                    t *= d
+                    c, d = c2k, t
             u_n = alpha * c
             u_n -= d
             return u_n, c, d
@@ -240,18 +262,18 @@ def _continuant_kernel(b2, n, modulus=None):
 
     b2x2 = 2 * b2
 
-    def kernel(alpha, zero, one):
-        c, d = one, zero  # (A_k, A_{k-1}) at k = 0
-        if n > 1:
-            c, d = alpha * one, one  # k = 1
-            for odd in odd_bits:
-                c2k = c * c - b2 * (d * d)
-                if odd:
-                    c, d = c * (alpha * c - b2x2 * d), c2k
-                else:
-                    c, d = c2k, d * (2 * c - alpha * d)
-                if modulus:
-                    c, d = c % modulus, d % modulus
+    def kernel(alpha):
+        if n == 1:
+            return (alpha % modulus if modulus else alpha), 1, 0
+        c, d = alpha, 1  # (A_k, A_{k-1}) at k = 1
+        for odd in odd_bits:
+            c2k = c * c - b2 * (d * d)
+            if odd:
+                c, d = c * (alpha * c - b2x2 * d), c2k
+            else:
+                c, d = c2k, d * (2 * c - alpha * d)
+            if modulus:
+                c, d = c % modulus, d % modulus
         a_n = alpha * c - b2 * d
         if modulus:
             return a_n % modulus, c % modulus, d % modulus
@@ -340,7 +362,7 @@ def _identity_gaps(b2, n_max: int, n_min: int, modulus: int | None = None):
         kernel = _continuant_kernel(b2, n_max, modulus)
 
         def one_size(alpha):
-            a_n, a_n1, a_n2 = kernel(alpha, 0, 1)
+            a_n, a_n1, a_n2 = kernel(alpha)
             return [(power, power - (a_n1 * a_n1 - a_n2 * a_n))]
 
         return one_size
@@ -423,12 +445,7 @@ def _residuals(alphas, beta, mode: str, n_max: int, n_min: int) -> list[tuple[li
     out = []
     for alpha, num in zip(alphas, nums):
         if den % p and not any(residual % p for _, residual in gaps(num % p)):
-            if mode == FLOAT:
-                zero = 0.0
-            elif isinstance(alpha, Fraction) or isinstance(beta, Fraction):
-                zero = Fraction(0)
-            else:
-                zero = 0
+            zero = 0.0 if mode == FLOAT else 0 * alpha * beta
             out.append(([zero] * size, False))
         else:
             out.append((_exact_residuals(alpha, beta, mode, n_max, n_min), True))

@@ -14,8 +14,12 @@ splits over the lead-free ("hat") determinants of ``hat_dets``:
 Divided by |v|**N it is the same split in Chebyshev units,
 ``U_N + i*g*U_{N-1} - (g**2/4)*U_{N-2}`` with ``U_k = Chat_k/|v|**k`` and
 ``g = gamma/|v|`` (``_chebyshev_dets``), which is what the transmittance
-routes evaluate.  ``first_inverse_column`` solves ``C u = e_1`` by a sweep
-over the diagonal alone.
+routes evaluate.  Both triples run one closure of
+``tridiag_core._continuant_kernel`` on the diagonal ``eps0 - eps``
+(``_diagonal``), which starts from Chat_0 = 1 and Chat_{-1} = 0 itself;
+``_kernel_dets`` turns those int seeds, returned as fields at N <= 2, into
+floats or arrays of the energies' shape.  ``first_inverse_column`` solves
+``C u = e_1`` by a sweep over the diagonal alone.
 """
 
 from __future__ import annotations
@@ -100,36 +104,40 @@ class HatDets(NamedTuple):
         return self.c_n - 0.25 * gamma * gamma * self.c_n2, gamma * self.c_n1
 
 
-def _diagonal_and_seeds(p: WireParams, eps: EnergyLike) -> tuple:
-    """``eps0 - eps`` and the kernel's seeds (A_{-1}, A_0), for a scalar or an array.
+def _diagonal(p: WireParams, eps: EnergyLike) -> EnergyLike:
+    """``eps0 - eps`` for a scalar or an array of energies.
 
-    A scalar (0-d) energy gives Python floats, which avoids numpy's
+    A scalar (0-d) energy gives a Python float, which avoids numpy's
     per-operation dispatch when one energy is evaluated at a time; an array
-    gives a fresh float array.  An array of energies takes the Python
-    floats 0.0 and 1.0 as seeds when n >= 3: there the seeds enter only as
-    factors of A_1 = (eps0 - eps)*1 and of the first doubling step, whose
-    products are arrays of the energies' shape with the bits that array
-    seeds would give, so no seed array is filled.  At n <= 2 a seed is
-    itself returned (A_{n-2} = 1 at n = 2; A_{n-1} = 1 and A_{n-2} = 0 at
-    n = 1), so there the seeds are arrays and every field keeps the
-    energies' shape.
+    gives a fresh float array.
 
     Raises ValueError for a non-finite energy.
     """
     if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
         eps = float(eps)
         finite = math.isfinite(eps)
-        zero, one = 0.0, 1.0
     else:
         eps = np.asarray(eps, dtype=float)
         finite = np.all(np.isfinite(eps))
-        if p.n >= 3:
-            zero, one = 0.0, 1.0
-        else:
-            zero, one = np.zeros_like(eps), np.ones_like(eps)
     if not finite:
         raise ValueError("probe energy must be finite")
-    return p.eps0 - eps, zero, one
+    return p.eps0 - eps
+
+
+def _kernel_dets(kernel, n: int, alpha: EnergyLike) -> HatDets:
+    """``kernel(alpha)`` as HatDets, every field a float or an array of alpha's shape.
+
+    From n = 3 every field is made by arithmetic on ``alpha`` and has its
+    kind already.  At n <= 2 the kernel returns its seeds A_0 = 1 (and at
+    n = 1 A_{-1} = 0) as the ints they are, and at n = 1 ``alpha`` itself;
+    here the seeds become floats, or fresh arrays of alpha's shape.
+    """
+    dets = kernel(alpha)
+    if n > 2:
+        return HatDets(*dets)
+    if isinstance(alpha, np.ndarray):
+        return HatDets(*(np.full_like(alpha, d) if isinstance(d, int) else d for d in dets))
+    return HatDets(*(float(d) if isinstance(d, int) else d for d in dets))
 
 
 def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
@@ -143,16 +151,16 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     ``tridiag_core._continuant_kernel`` (``b2 = v**2``), built once per
     call, which reaches index n by doubling in about 8*log2(n) operations;
     a scalar runs it on Python floats, an array on numpy arrays
-    (``_diagonal_and_seeds``).  Floats and arrays go through the same
-    operations in the same order, so a scalar result is bit-identical to
-    the corresponding element of an array result.
+    (``_diagonal``), and ``_kernel_dets`` gives every field the kind of
+    the input.  Floats and arrays go through the same operations in the
+    same order, so a scalar result is bit-identical to the corresponding
+    element of an array result.
 
     The transmittance routes do not call this function: they run the unit
     body on ``_chebyshev_dets``, whose values are these divided by
     ``|v|**n``, ``|v|**(n-1)`` and ``|v|**(n-2)``.
     """
-    alpha, zero, one = _diagonal_and_seeds(p, eps)
-    return HatDets(*_continuant_kernel(p.v * p.v, p.n)(alpha, zero, one))
+    return _kernel_dets(_continuant_kernel(p.v * p.v, p.n), p.n, _diagonal(p, eps))
 
 
 def _chebyshev_dets(p: WireParams, eps: EnergyLike) -> HatDets:
@@ -170,9 +178,9 @@ def _chebyshev_dets(p: WireParams, eps: EnergyLike) -> HatDets:
 
     Raises ValueError for a non-finite energy.
     """
-    alpha, zero, one = _diagonal_and_seeds(p, eps)
+    alpha = _diagonal(p, eps)
     alpha /= abs(float(p.v))
-    return HatDets(*_continuant_kernel(1.0, p.n)(alpha, zero, one))
+    return _kernel_dets(_continuant_kernel(1.0, p.n), p.n, alpha)
 
 
 def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:

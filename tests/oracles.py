@@ -3,7 +3,8 @@
 Everything here goes through explicitly assembled dense matrices and
 numpy's LU-based routines (row reduction with partial pivoting) or its dense
 eigensolver, or through hand-derived closed forms, never through the
-recurrence-based code paths under test.
+recurrence-based code paths under test.  ``typed_bits`` is the one
+comparison helper: it compares results by type and bits.
 """
 
 import numpy as np
@@ -236,3 +237,20 @@ def current_pole_sum_dense(p, mu_left, mu_right, temperature=0.0):
     else:
         ell = np.log(lam - mu_right) - np.log(lam - mu_left)
     return float((2.0 * p.gamma ** 2 * np.sum(a * gbar * ell)).real)
+
+
+def typed_bits(values):
+    """Type and bits of each value: arrays by dtype, shape and bytes, floats by hex.
+
+    Ints and Fractions compare by value; the continuant kernel returns its
+    seeds as the ints 1 and 0 at n <= 2.
+    """
+    out = []
+    for x in values:
+        if isinstance(x, np.ndarray):
+            out.append(("ndarray", x.dtype.str, x.shape, x.tobytes()))
+        elif isinstance(x, float):
+            out.append(("float", x.hex()))
+        else:
+            out.append((type(x).__name__, x))
+    return out

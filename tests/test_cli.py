@@ -206,6 +206,16 @@ def test_identity_sequence_beyond_double_range_exits_1(capsys):
     assert captured.err == "qwire: determinant A_426 leaves the double range\n"
 
 
+def test_identity_names_the_first_determinant_beyond_double_range(capsys):
+    # beta**2 = 1e400 overflows, but A_0 = 1 and A_1 = alpha do not: the
+    # first entry beyond the double range is A_2 = alpha**2 - beta**2.
+    argv = ["identity", "--alpha", "1", "--beta", "1e200", "--n-max", "2", "--mode", "float"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qwire: determinant A_2 leaves the double range\n"
+
+
 HUGE = "1" + "0" * 400  # 1e400, beyond the largest double
 
 
@@ -732,6 +742,44 @@ def test_main_prints_what_the_six_parser_main_printed(tmp_path, monkeypatch, cap
         want = outcome(reference_main, argv, capsys)
         assert outcome(cli.main, argv, capsys) == want, argv
         assert want[2] or want[0] == 0, argv
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "-N", "2", "--eps0", "0", "--v", "1", "--gamma", "0.5",
+      "--from", "-1e-3", "--to", "1e-3", "--points", "2"], "--from"),
+    (["spectrum", "-N", "3", "--eps0", "-1e-3", "--v", "1", "--gamma", "0.5",
+      "--from", "-2", "--to", "2", "--points", "3"], "--eps0"),
+    (current_args(mu_r="-2.5E+00"), "--mu-r"),
+])
+def test_negative_values_in_exponent_notation_are_values(argv, flag, capsys):
+    # Python 3.11's argparse took "-1e-3" for an option, since its
+    # negative-number pattern has no exponent, and exited 2 with "expected
+    # one argument"; the attached form "--from=-1e-3" always parsed.
+    i = argv.index(flag)
+    attached = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    assert cli.main(attached) == 0
+    want = capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    assert repr(float(argv[i + 1])) in want.out
+
+
+def test_negative_numbers_attach_only_to_options_that_take_a_value(monkeypatch, capsys):
+    # Help takes no value, a value is no option, and nothing after "--" is
+    # parsed as an option: there the outcome is the reference main's.
+    monkeypatch.setenv("COLUMNS", "80")
+    identity = GOLDEN_INVOCATIONS["identity.csv"]
+    spectrum = GOLDEN_INVOCATIONS["spectrum.csv"]
+    for argv in (["identity", "-h", "-1e-3"], ["spectrum", "--help", "-2.5E+00"],
+                 ["spectrum", "--he", "-1e-3"], identity + ["--", "-1e-3"],
+                 identity + ["-1e-3"], spectrum[:3] + ["-1e-3"] + spectrum[3:],
+                 ["identity", "--alpha", "-3", "-1e-3", "--beta", "1", "--n-max", "2"]):
+        want = outcome(reference_main, argv, capsys)
+        assert outcome(cli.main, argv, capsys) == want, argv
+    # A short option takes one too: -N's value is then checked as an int.
+    code, out, err = outcome(cli.main, spectrum[:2] + ["-1e3"] + spectrum[3:], capsys)
+    assert (code, out) == (2, "")
+    assert "argument -N/--sites: invalid int value: '-1e3'" in err
 
 
 def test_each_call_builds_only_the_parser_it_runs(tmp_path, monkeypatch, capsys):

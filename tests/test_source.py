@@ -107,17 +107,34 @@ def test_numpy_free_modules_import_no_numpy_or_scipy_anywhere():
     assert found == []
 
 
+def _continuant_kernel_factory():
+    tree = ast.parse((PACKAGE / "tridiag_core.py").read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_continuant_kernel")
+
+
+def test_continuant_kernels_take_alpha_alone():
+    # A_0 = 1 and A_{-1} = 0 belong to the recurrence, so the closures the
+    # factory returns start from them themselves: each takes one parameter.
+    factory = _continuant_kernel_factory()
+    closures = [node for node in ast.walk(factory)
+                if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not factory]
+    assert sorted(node.name for node in closures) == ["kernel", "unit"]
+    for node in closures:
+        args = node.args
+        assert [a.arg for a in args.posonlyargs + args.args] == ["alpha"], node.name
+        assert not (args.vararg or args.kwarg or args.kwonlyargs or args.defaults), node.name
+
+
 def test_plain_continuant_kernel_writes_into_no_argument():
     # The unit body (b2 = 1, the float body of the transmittance routes)
-    # updates its own fresh products in place.  A write into alpha, zero,
-    # one or the pair (c, d) it carries would change the caller's arrays:
-    # at k = 1, d is the caller's one.
-    tree = ast.parse((PACKAGE / "tridiag_core.py").read_text())
-    factory = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_continuant_kernel")
+    # updates its own fresh products in place.  A write into alpha or the
+    # pair (c, d) it carries would change the caller's arrays: at k = 1, c
+    # is the caller's alpha.
+    factory = _continuant_kernel_factory()
     plain = next(node for node in ast.walk(factory)
                  if isinstance(node, ast.FunctionDef) and node.name == "unit")
-    protected = {"alpha", "zero", "one", "c", "d"}
+    protected = {"alpha", "c", "d"}
 
     def root(target):
         while isinstance(target, (ast.Subscript, ast.Attribute)):

@@ -399,7 +399,7 @@ def test_shared_hat_dets_bit_identical_to_public_routes():
             kernel = tridiag_core._continuant_kernel(1.0, p.n)
             gap = []
             for e in energies.tolist():
-                u_n, u_n1, u_n2 = kernel((p.eps0 - e) / abs(p.v), 0.0, 1.0)
+                u_n, u_n1, u_n2 = kernel((p.eps0 - e) / abs(p.v))
                 gap.append(u_n1 * u_n1 - u_n2 * u_n)
         diff = np.abs(public[0] - public[1])
         bridge = [
@@ -431,8 +431,8 @@ def test_broken_recurrence_makes_bridge_report_exact_residual(monkeypatch):
         # so the residual becomes 2 b2 A_{n-2}**2, which depends on the energy.
         kernel = real(b2, n, modulus)
 
-        def slipped(alpha, zero, one):
-            a_n, a_n1, a_n2 = kernel(alpha, zero, one)
+        def slipped(alpha):
+            a_n, a_n1, a_n2 = kernel(alpha)
             return a_n + 2 * b2 * a_n2, a_n1, a_n2
 
         return slipped
@@ -459,8 +459,8 @@ def test_underflowing_bridge_residual_is_not_reported_as_zero(monkeypatch):
     def plus_one(b2, n, modulus=None):
         kernel = real(b2, n, modulus)
 
-        def shifted(alpha, zero, one):
-            a_n, a_n1, a_n2 = kernel(alpha, zero, one)
+        def shifted(alpha):
+            a_n, a_n1, a_n2 = kernel(alpha)
             return a_n + 1, a_n1, a_n2
 
         return shifted
@@ -485,8 +485,8 @@ def test_equivalence_report_takes_numpy_scalar_params_as_python_scalars(broken, 
         def plus_one(b2, n, modulus=None):
             kernel = real(b2, n, modulus)
 
-            def shifted(alpha, zero, one):
-                a_n, a_n1, a_n2 = kernel(alpha, zero, one)
+            def shifted(alpha):
+                a_n, a_n1, a_n2 = kernel(alpha)
                 return a_n + 1, a_n1, a_n2
 
             return shifted

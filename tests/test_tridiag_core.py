@@ -26,7 +26,7 @@ from qwire import (
     wire_matrix,
 )
 
-from oracles import chebyshev_det, dense_det, dense_corner_cofactor, dense_sym_tridiag
+from oracles import chebyshev_det, dense_det, dense_corner_cofactor, dense_sym_tridiag, typed_bits
 
 ints = st.integers(min_value=-10, max_value=10)
 sizes = st.integers(min_value=2, max_value=40)
@@ -119,6 +119,35 @@ def test_float_det_beyond_double_range_raises_naming_first_index():
     with pytest.raises(NumericalError, match=r"\bA_426 leaves the double range"):
         det(SymToeplitzTridiag(-7.0, 3.0, 1001))
     assert math.isfinite(det(SymToeplitzTridiag(7.0, 3.0, 425)))
+
+
+def test_sequence_with_beta_squared_beyond_double_range():
+    # beta**2 = 1e400 is inf in float mode, yet A_0 = 1 and A_1 = alpha are
+    # finite: the first determinant beyond the double range is
+    # A_2 = alpha**2 - beta**2.
+    for beta in (1e200, -1e200):
+        assert det_sequence(SymToeplitzTridiag(1.0, beta, 0)).values == (1.0,)
+        assert det_sequence(SymToeplitzTridiag(1.0, beta, 1)).values == (1.0, 1.0)
+        assert det(SymToeplitzTridiag(1.0, beta, 0)) == 1.0
+        assert det(SymToeplitzTridiag(-3.5, beta, 1)) == -3.5
+        for n in (2, 3, 50):
+            with pytest.raises(NumericalError, match=r"\bA_2 leaves the double range"):
+                det_sequence(SymToeplitzTridiag(1.0, beta, n))
+
+
+@pytest.mark.parametrize("mode, alpha, beta, want", [
+    (FLOAT, 3, 1, "(1.0, 3.0, 8.0)"),
+    (EXACT, 3, 1, "(1, 3, 8)"),
+    (EXACT, 3, Fraction(1, 2), "(Fraction(1, 1), Fraction(3, 1), Fraction(35, 4))"),
+    (EXACT, Fraction(3, 2), 1, "(1, Fraction(3, 2), Fraction(5, 4))"),
+    (EXACT, Fraction(3, 2), Fraction(-1, 3), "(Fraction(1, 1), Fraction(3, 2), Fraction(77, 36))"),
+])
+def test_sequence_start_takes_the_types_of_its_inputs(mode, alpha, beta, want):
+    # A_0 = 1 has the type of beta**2 and A_1 = alpha * A_0 the common type
+    # of alpha and beta**2, as every later entry does.
+    values = det_sequence(SymToeplitzTridiag(alpha, beta, 2), mode).values
+    assert repr(values) == want
+    assert repr(det_sequence(SymToeplitzTridiag(alpha, beta, 0), mode).values) == repr(values[:1])
 
 
 def test_dense_oracle_agreement():
@@ -359,16 +388,16 @@ def test_doubling_kernel_matches_continuant_tail(n):
     for alpha, b2 in ((3, 1), (-7, 12), (5, 0), (0, 4), (3 * P61, P61), (P61 + 2, 5 * P61),
                       (10 ** 25, 10 ** 30), (Fraction(7, 3), Fraction(4, 25)),
                       (Fraction(-1, P61), 0), (2, Fraction(9, 4))):
-        got = tridiag_core._continuant_kernel(b2, n)(alpha, 0, 1)
+        got = tridiag_core._continuant_kernel(b2, n)(alpha)
         assert got == _continuant_tail(alpha, b2, n)
         if not isinstance(alpha, Fraction) and not isinstance(b2, Fraction):
-            reduced = tridiag_core._continuant_kernel(b2, n, P61)(alpha, 0, 1)
+            reduced = tridiag_core._continuant_kernel(b2, n, P61)(alpha)
             assert reduced == _continuant_tail(alpha, b2, n, P61)
             # While every continuant is an integer below 2**53, the float
             # kernel rounds nothing and lands on the int kernel's values.
             # Ints carry no sign of zero, so + 0.0 turns -0.0 into 0.0.
             if max(map(abs, tridiag_core._continuants(alpha, b2, n))) < 2 ** 53:
-                floats = tridiag_core._continuant_kernel(float(b2), n)(float(alpha), 0.0, 1.0)
+                floats = tridiag_core._continuant_kernel(float(b2), n)(float(alpha))
                 assert [(x + 0.0).hex() for x in floats] == [float(a).hex() for a in got]
 
 
@@ -379,8 +408,121 @@ def test_doubling_kernel_matches_continuant_tail_property(data, n, modulus):
     # Reduction mod p is a ring map on the integers only, so Fractions run exact.
     scalars = kernel_ints if modulus else st.one_of(kernel_ints, st.fractions())
     alpha, b2 = data.draw(scalars), data.draw(scalars)
-    got = tridiag_core._continuant_kernel(b2, n, modulus)(alpha, 0, 1)
+    got = tridiag_core._continuant_kernel(b2, n, modulus)(alpha)
     assert got == _continuant_tail(alpha, b2, n, modulus)
+
+
+def _seeded_kernel(b2, n, modulus=None):
+    """Reference: the kernel as it was while callers passed its seeds, ``kernel(alpha, zero, one)``.
+
+    It starts from (A_0, A_{-1}) = (one, zero) and forms A_1 = alpha*one;
+    at n = 1 it takes A_1 = alpha*one - b2*zero in the last step.
+    """
+    odd_bits = tuple(bit == "1" for bit in bin(n - 1)[3:])
+
+    if b2 == 1 and not modulus:
+        def unit(alpha, zero, one):
+            c, d = one, zero
+            if n > 1:
+                c, d = alpha * one, one
+                for odd in odd_bits:
+                    c2k = c * c
+                    c2k -= d * d
+                    if odd:
+                        t = alpha * c
+                        t -= d + d
+                        t *= c
+                        c, d = t, c2k
+                    else:
+                        t = c + c
+                        t -= alpha * d
+                        t *= d
+                        c, d = c2k, t
+            u_n = alpha * c
+            u_n -= d
+            return u_n, c, d
+
+        return unit
+
+    b2x2 = 2 * b2
+
+    def kernel(alpha, zero, one):
+        c, d = one, zero
+        if n > 1:
+            c, d = alpha * one, one
+            for odd in odd_bits:
+                c2k = c * c - b2 * (d * d)
+                if odd:
+                    c, d = c * (alpha * c - b2x2 * d), c2k
+                else:
+                    c, d = c2k, d * (2 * c - alpha * d)
+                if modulus:
+                    c, d = c % modulus, d % modulus
+        a_n = alpha * c - b2 * d
+        if modulus:
+            return a_n % modulus, c % modulus, d % modulus
+        return a_n, c, d
+
+    return kernel
+
+
+SEEDED_SIZES = range(1, 1026)
+FLOAT_ALPHAS = [0.3, -1.7, 2.0, -2.0, 0.0, -0.0, 1e-300, 5.5, -1e150]
+
+
+def test_kernel_matches_the_seeded_kernel_on_floats():
+    # With the int seeds 0 and 1 the seeded kernel gives the kernel's types
+    # and bits at every n; with today's float callers' 0.0 and 1.0 it gives
+    # the bits and types of wire_matrix's fields, which turn the seeds at
+    # n <= 2 into floats.
+    for n in SEEDED_SIZES:
+        alphas = FLOAT_ALPHAS + ([math.inf, -math.inf] if n <= 2 else [])
+        for b2 in (1.0, 0.49, 2.25):
+            kernel, seeded = tridiag_core._continuant_kernel(b2, n), _seeded_kernel(b2, n)
+            for alpha in alphas:
+                got = kernel(alpha)
+                assert typed_bits(got) == typed_bits(seeded(alpha, 0, 1)), (n, b2, alpha)
+                assert typed_bits(wire_matrix._kernel_dets(kernel, n, alpha)) == \
+                    typed_bits(seeded(alpha, 0.0, 1.0)), (n, b2, alpha)
+
+
+def test_kernel_matches_the_seeded_kernel_on_arrays():
+    # hat_dets passed 0.0 and 1.0 from n = 3 and seed arrays at n <= 2;
+    # wire_matrix's fields match that call in dtype, shape and bits.
+    for n in SEEDED_SIZES:
+        alpha = np.array(FLOAT_ALPHAS + ([math.inf, -math.inf] if n <= 2 else []))
+        grid = alpha.reshape(-1, 1) if n % 2 else alpha
+        for b2 in (1.0, 0.49, 2.25):
+            kernel, seeded = tridiag_core._continuant_kernel(b2, n), _seeded_kernel(b2, n)
+            before = grid.copy()
+            with np.errstate(all="ignore"):
+                got = kernel(grid)
+                want = seeded(grid, 0, 1)
+                fields = wire_matrix._kernel_dets(kernel, n, grid)
+                old = (seeded(grid, 0.0, 1.0) if n > 2
+                       else seeded(grid, np.zeros_like(grid), np.ones_like(grid)))
+            assert typed_bits(got) == typed_bits(want), (n, b2)
+            assert typed_bits(fields) == typed_bits(old), (n, b2)
+            assert grid.tobytes() == before.tobytes()
+
+
+def test_kernel_matches_the_seeded_kernel_on_ints_mod_p():
+    for n in SEEDED_SIZES:
+        for b2 in (1, 4, P61 - 3, 10 ** 30):
+            kernel, seeded = tridiag_core._continuant_kernel(b2, n, P61), _seeded_kernel(b2, n, P61)
+            for alpha in (0, 5, P61 - 1, 3 * P61 + 7, -12345678901234567):
+                assert typed_bits(kernel(alpha)) == typed_bits(seeded(alpha, 0, 1)), (n, b2, alpha)
+
+
+def test_kernel_matches_the_seeded_kernel_on_exact_ints_and_fractions():
+    # The exact pass passed the ints 0 and 1.  At |beta| = 1 it runs the unit
+    # body on ints, whose seeds must stay ints: a float 1.0 would round.
+    assert tridiag_core._continuant_kernel(1, 2)(94906266) == (94906266 ** 2 - 1, 94906266, 1)
+    for n in SEEDED_SIZES:
+        for alpha, b2 in ((7, 1), (-3, 5), (Fraction(3, 7), Fraction(4, 9)),
+                          (Fraction(-5, 2), Fraction(1))):
+            got = tridiag_core._continuant_kernel(b2, n)(alpha)
+            assert typed_bits(got) == typed_bits(_seeded_kernel(b2, n)(alpha, 0, 1)), (n, alpha, b2)
 
 
 def test_plain_kernel_has_no_modulus_test():
@@ -452,6 +594,21 @@ def test_single_size_fingerprint_cost_is_logarithmic(n):
         assert _CountingInt.ops <= k * (8 * bits + 1) + 2 * bits + 8
         assert len(gaps) == k
         assert all(gap[1] % P61 == 0 for (gap,) in gaps)
+
+
+@pytest.mark.parametrize("mode, alphas, beta, zeros", [
+    (FLOAT, [0.3, -2.0, 0.0], -0.7, ["0.0"] * 3),
+    (EXACT, [3, -2, Fraction(1, 3)], 5, ["0", "0", "Fraction(0, 1)"]),
+    (EXACT, [3, 0], Fraction(1, 2), ["Fraction(0, 1)"] * 2),
+])
+def test_vanishing_residuals_take_the_zero_of_the_mode(mode, alphas, beta, zeros):
+    # 0.0 in float mode, else 0 * alpha * beta.  One site included: the
+    # start A_0 = 1, A_{-1} = 0 makes beta**0 - (A_0**2 - A_{-1} A_1) zero,
+    # so equivalence_report takes n = 1 through the same pass.
+    for n, n_min in ((1, 1), (2, 2), (6, 6), (6, 2)):
+        got = tridiag_core._residuals(alphas, beta, mode, n, n_min)
+        assert [(list(map(repr, values)), exact) for values, exact in got] == \
+            [([zero] * (n - n_min + 1), False) for zero in zeros]
 
 
 def test_identity_residual_of_a_million_sites(monkeypatch):

@@ -24,7 +24,7 @@ from qwire import (
 import qwire.wire_matrix as wire_matrix
 from qwire.wire_matrix import _continuant_kernel
 
-from oracles import dense_corner_cofactor, dense_det, dense_wire_matrix
+from oracles import dense_corner_cofactor, dense_det, dense_wire_matrix, typed_bits
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,26 +117,27 @@ def test_hat_dets_vectorized_matches_scalar():
         assert h.c_n2[k] == hs.c_n2
 
 
-def _one_step_continuants(alpha, b2, n, zero, one):
-    """The recurrence one step per pass, keeping Chat_{k-2} at every step."""
-    older, prev2, prev = zero, zero, one
+def _one_step_continuants(alpha, b2, n):
+    """The recurrence one step per pass from Chat_{-1} = 0 and Chat_0 = 1, keeping Chat_{k-2}."""
+    older, prev2, prev = 0, 0, 1
     for _ in range(n):
         older, prev2, prev = prev2, prev, alpha * prev - b2 * prev2
     return prev, prev2, older
 
 
-def _plain_doubling_continuants(alpha, b2, n, zero, one):
+def _plain_doubling_continuants(alpha, b2, n):
     """Chat_n, Chat_{n-1}, Chat_{n-2} by index doubling, written out plainly.
 
     With C_{j+k} = C_j C_k - b2 C_{j-1} C_{k-1}, the pair (C_k, C_{k-1})
     gives C_2k = C_k**2 - b2 C_{k-1}**2, C_{2k-1} = C_{k-1} (2 C_k - alpha
-    C_{k-1}) and C_{2k+1} = C_k (alpha C_k - 2 b2 C_{k-1}).  The index k
-    follows the bits of n-1 from the top, then one recurrence step gives C_n.
+    C_{k-1}) and C_{2k+1} = C_k (alpha C_k - 2 b2 C_{k-1}).  From
+    (C_1, C_0) = (alpha, 1) the index k follows the bits of n-1 from the
+    top, then one recurrence step gives C_n.
     """
     if n == 1:
-        return alpha * one - b2 * zero, one, zero
+        return alpha, 1, 0
     m = n - 1
-    k, ck, ck1 = 1, alpha * one, one
+    k, ck, ck1 = 1, alpha, 1
     for shift in range(m.bit_length() - 2, -1, -1):
         c2k = ck * ck - b2 * (ck1 * ck1)
         if (m >> shift) & 1:
@@ -163,23 +164,21 @@ def test_continuant_kernel_matches_plain_doubling_loop(n, eps0, v, offsets):
     alpha = eps0 - (eps0 + 4.0 * abs(v) * np.array(offsets))
     b2 = v * v
     with np.errstate(all="ignore"):
-        got = _continuant_kernel(b2, n)(alpha, np.zeros_like(alpha), np.ones_like(alpha))
-        want = _plain_doubling_continuants(
-            alpha, b2, n, np.zeros_like(alpha), np.ones_like(alpha)
-        )
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        got = _continuant_kernel(b2, n)(alpha)
+        want = _plain_doubling_continuants(alpha, b2, n)
+    assert typed_bits(got) == typed_bits(want)
     for a in alpha.tolist():
-        got = _continuant_kernel(b2, n)(a, 0.0, 1.0)
-        want = _plain_doubling_continuants(a, b2, n, 0.0, 1.0)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        got = _continuant_kernel(b2, n)(a)
+        want = _plain_doubling_continuants(a, b2, n)
+        assert typed_bits(got) == typed_bits(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_continuant_kernel_keeps_one_step_bits_up_to_three_sites(n):
     alpha = np.linspace(-5.0, 5.0, 101)
-    got = _continuant_kernel(0.49, n)(alpha, np.zeros_like(alpha), np.ones_like(alpha))
-    want = _one_step_continuants(alpha, 0.49, n, np.zeros_like(alpha), np.ones_like(alpha))
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    got = _continuant_kernel(0.49, n)(alpha)
+    want = _one_step_continuants(alpha, 0.49, n)
+    assert typed_bits(got) == typed_bits(want)
 
 
 def _exact_hat_dets(alpha, v, n):
@@ -237,7 +236,7 @@ def test_continuant_kernel_transmittance_within_rounding_bound_of_exact():
             kappa = (envelope(n, exact[0]) + g * envelope(n - 1, exact[1])
                      + g * g / 4 * envelope(n - 2, exact[2])) / det
             bound = 8.0 * u * n * gain * kappa
-            for hats in (hat_dets(p, eps), _one_step_continuants(alpha, v * v, n, 0.0, 1.0)):
+            for hats in (hat_dets(p, eps), _one_step_continuants(alpha, v * v, n)):
                 t = _exact_t_and_det(p, *hats)[0]
                 assert float(abs(t - t_exact) / t_exact) <= bound, (n, v, g, x)
 
@@ -274,30 +273,36 @@ class _CountingFloat:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 226, 1000, 2 ** 20, 2 ** 20 + 1, 10 ** 6])
 def test_continuant_kernel_cost_is_logarithmic(n):
     # A linear loop would take 3n operations; doubling takes 8 per bit of n-1.
-    # The bound covers building the kernel and one evaluation.
+    # The bound covers building the kernel and one evaluation.  The seeds
+    # the kernel returns at n <= 2 are plain ints.
     _CountingFloat.ops = 0
-    got = _continuant_kernel(_CountingFloat(1.0), n)(
-        _CountingFloat(0.3), _CountingFloat(0.0), _CountingFloat(1.0))
+    got = _continuant_kernel(_CountingFloat(1.0), n)(_CountingFloat(0.3))
     assert _CountingFloat.ops <= 8 * (n - 1).bit_length() + 4
-    assert [c.x for c in got] == list(_continuant_kernel(1.0, n)(0.3, 0.0, 1.0))
+    assert [getattr(c, "x", c) for c in got] == list(_continuant_kernel(1.0, n)(0.3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 226, 1000, 2 ** 20, 2 ** 20 + 1, 10 ** 6])
 def test_unit_continuant_kernel_takes_seven_operations_per_bit(n):
-    # The unit body (b2 = 1) of the transmittance routes: one product for
-    # U_1 = alpha*1, 7 operations per doubling step (one per bit of n-1
-    # below its top bit) and 2 in the last recurrence step, so
-    # 7*(n-1).bit_length() - 4 from n = 2 and 2 at n = 1; building it costs
-    # nothing.  The b2 body takes 8 per step and 3 in the last.
+    # The unit body (b2 = 1) of the transmittance routes starts from
+    # (U_1, U_0) = (alpha, 1) with no operation, then makes 7 per doubling
+    # step (one per bit of n-1 below its top bit) and 2 in the last
+    # recurrence step, so 7*(n-1).bit_length() - 5 from n = 2 and none at
+    # n = 1, where it returns alpha and its seeds; building it costs nothing.
+    # The b2 body takes 8 per step and 3 in the last.  From n = 3 the first
+    # step squares the int seed d = 1 (d*d), and the unit body's odd step
+    # doubles it (d + d): int operations, no elementwise pass on arrays,
+    # which _CountingFloat does not see.
     bits = (n - 1).bit_length()
+    seed_ops = 0 if n < 3 else 1
+    first_odd = 0 if n < 3 else (n - 1) >> (bits - 2) & 1
     _CountingFloat.ops = 0
-    got = _continuant_kernel(1.0, n)(_CountingFloat(0.3), _CountingFloat(0.0), _CountingFloat(1.0))
-    assert _CountingFloat.ops == (7 * bits - 4 if n > 1 else 2)
-    assert _CountingFloat.ops <= 7 * bits + 2
-    assert [c.x for c in got] == list(_continuant_kernel(1.0, n)(0.3, 0.0, 1.0))
+    got = _continuant_kernel(1.0, n)(_CountingFloat(0.3))
+    assert _CountingFloat.ops == (7 * bits - 5 - seed_ops - first_odd if n > 1 else 0)
+    assert [getattr(c, "x", c) for c in got] == list(_continuant_kernel(1.0, n)(0.3))
+    kernel = _continuant_kernel(_CountingFloat(0.81), n)
     _CountingFloat.ops = 0
-    _continuant_kernel(0.81, n)(_CountingFloat(0.3), _CountingFloat(0.0), _CountingFloat(1.0))
-    assert _CountingFloat.ops == (8 * bits - 4 if n > 1 else 3)
+    kernel(_CountingFloat(0.3))
+    assert _CountingFloat.ops == (8 * bits - 5 - seed_ops if n > 1 else 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 226, 2 ** 20 + 1])
@@ -326,40 +331,46 @@ def test_continuant_kernel_built_once_matches_hat_dets_per_energy(n):
     energies = np.linspace(-1.6, 1.7, 23)
     kernel = _continuant_kernel(p.v * p.v, p.n)
     for e in energies.tolist():
-        got = kernel(p.eps0 - e, 0.0, 1.0)
-        assert [x.hex() for x in got] == [float(x).hex() for x in hat_dets(p, e)]
+        got = kernel(p.eps0 - e)
+        assert [float(x).hex() for x in got] == [x.hex() for x in hat_dets(p, e)]
     for grid in (energies, energies[::-2], energies[:1]):
         with np.errstate(all="ignore"):
-            got = kernel(p.eps0 - grid, np.zeros_like(grid), np.ones_like(grid))
+            got = kernel(p.eps0 - grid)
             want = hat_dets(p, grid)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert [np.broadcast_to(np.asarray(x, dtype=float), grid.shape).tobytes()
+                for x in got] == [x.tobytes() for x in want]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 226, 2 ** 20 + 1])
 def test_continuant_kernel_leaves_its_array_arguments_unchanged(n):
     # The unit body (b2 = 1) updates its own products in place; at k = 1 its
-    # d is the caller's one, so a write into d (or alpha, zero, c) would
-    # change the caller's arrays.  The sizes cover n <= 2, odd and even
-    # steps; the b2 body runs too.
+    # c is the caller's alpha, so a write into c (or alpha) would change the
+    # caller's array.  The sizes cover n <= 2, odd and even steps; the b2
+    # body runs too.
     for b2 in (1.0, 0.49):
         kernel = _continuant_kernel(b2, n)
         alpha = np.linspace(-1.7, 1.6, 19)
-        zero, one = np.zeros_like(alpha), np.ones_like(alpha)
-        before = [x.copy() for x in (alpha, zero, one)]
+        before = alpha.copy()
         with np.errstate(all="ignore"):
-            got = kernel(alpha, zero, one)
-            want = np.array([kernel(a, 0.0, 1.0) for a in alpha.tolist()]).T
-        assert [x.tobytes() for x in (alpha, zero, one)] == [x.tobytes() for x in before]
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            got = kernel(alpha)
+            want = np.array([kernel(a) for a in alpha.tolist()], dtype=float).T
+        assert alpha.tobytes() == before.tobytes()
+        assert [np.broadcast_to(np.asarray(x, dtype=float), alpha.shape).tobytes()
+                for x in got] == [x.tobytes() for x in want]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hat_dets_of_an_array_are_arrays_of_its_shape(n):
-    # At n <= 2 a seed of the kernel is itself a field of the result.
+    # At n <= 2 a seed of the kernel is itself a field of the result, the
+    # int 1 or 0; wire_matrix makes it a float array of the energies' shape,
+    # or a float for a scalar energy, in both kinds of determinants.
     p = WireParams(n=n, eps0=0.1, v=0.8, gamma=0.3)
     energies = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    for field in hat_dets(p, energies):
-        assert isinstance(field, np.ndarray) and field.shape == energies.shape
+    for dets in (hat_dets, wire_matrix._chebyshev_dets):
+        for field in dets(p, energies):
+            assert isinstance(field, np.ndarray) and field.shape == energies.shape
+            assert field.dtype == np.float64 and field.flags.writeable
+        assert all(type(field) is float for field in dets(p, 0.25))
 
 
 def test_hat_dets_reject_non_finite_energy():
