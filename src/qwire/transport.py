@@ -17,13 +17,13 @@ with ``U_k = Chat_k/|v|**k``, ``g = gamma/|v|`` and
     T_EO = g**2 (1 + U_{n-1}**2 - U_{n-2} U_n) / (2 |det C~|**2),
 
 so no power of v is taken: in the band |U_k| <= k + 1 for every v, and
-neither ``v**(n-1)`` nor its square can leave the double range.  The U_k
-come from the unit body of ``tridiag_core._continuant_kernel``
-(``wire_matrix._chebyshev_dets``).  Both routes read one such triple and
-divide by one ``|det C~|**2``, which each public function evaluates once
-and shares between the routes.  ``spectrum`` walks its grid in blocks of
-``_BLOCK`` energies, so the temporaries of both routes stay block-sized
-while only the grid and the outputs span the whole grid.  They agree
+neither ``v**(n-1)`` nor its square can leave the double range.  One
+per-wire evaluator, ``_chebyshev``, gives the U_k (the unit body of
+``tridiag_core._continuant_kernel``) and ``|det C~|**2``; both routes, the
+equivalence report, ``spectrum`` and the current's quadrature read it, and
+each public function shares one evaluation between the routes.
+``spectrum`` walks its grid in blocks of ``_BLOCK`` energies, so the
+temporaries of both routes stay block-sized.  They agree
 because the continuant identity ``beta**(2n-2) = A_{n-1}**2 - A_{n-2} A_n``
 reads ``U_{n-1}**2 - U_{n-2} U_n = 1`` in these units.  The equivalence
 report verifies that bridge in one fingerprint pass per call (modulo
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .tridiag_core import FLOAT, _continuant_kernel, _residuals
-from .wire_matrix import EnergyLike, HatDets, WireParams, _chebyshev_dets
+from .wire_matrix import EnergyLike, WireParams, _diagonal
 
 _RECOMBINE_RTOL = 1e-9
 _RECOMBINE_ATOL = 1e-12
@@ -133,7 +133,7 @@ class TransmissionSpectrum:
 
     Each sample column is validated by one ``min()`` and one ``max()``: a
     non-finite sample raises NumericalError, a finite one outside
-    ``[0, 1 + 1e-9]`` raises ValueError.
+    ``[0, 1 + 1e-9]`` raises PreconditionError (a ValueError).
     """
 
     energies: np.ndarray
@@ -161,7 +161,7 @@ class TransmissionSpectrum:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise NumericalError(f"{name} has non-finite samples")
             if lo < 0.0 or hi > _T_UPPER:
-                raise ValueError(f"{name} leaves [0, 1 + 1e-9]")
+                raise PreconditionError(f"{name} leaves [0, 1 + 1e-9]")
 
     def abs_diff(self) -> np.ndarray:
         if self.t_gf is None or self.t_eo is None:
@@ -203,23 +203,43 @@ class EquivalenceReport:
     bridge_exact_fallbacks: int
 
 
-def _dets(p: WireParams, eps: EnergyLike) -> tuple[float, HatDets, EnergyLike]:
-    """``g = gamma/|v|``, ``_chebyshev_dets(p, eps)`` and ``|det C~|**2``, for both routes.
+def _chebyshev(p: WireParams):
+    """``(|v|, g, dets)``: the routes' one evaluator of their continuants, built per wire.
 
-    ``|det C~|**2 = re*re + im*im`` is formed in the two fresh values that
-    ``corner_split(g)`` returns (for arrays, in place: no further temporary).
+    ``dets(alpha)``, at ``alpha = (eps0 - eps)/|v|`` (a float or an array),
+    gives the unit kernel's ``(U_n, U_{n-1}, U_{n-2})`` and
+    ``|det C~|**2 = (U_n - q U_{n-2})**2 + (g U_{n-1})**2`` with ``g = gamma/|v|``
+    and ``q = (0.25*g)*g`` (``corner_split``'s grouping), squared in place in
+    the split's two fresh values.  At n <= 2 the kernel's int seeds stay ints,
+    which keep the kind and bits of every route output.  A scalar
+    ``|det C~|**2`` of 0 raises NumericalError (arrays give nan or inf).
     """
-    g = p.gamma / abs(float(p.v))
-    h = _chebyshev_dets(p, eps)
-    re, im = h.corner_split(g)
-    re *= re
-    im *= im
-    re += im
-    det_sq = re
-    # Only a scalar quotient by 0.0 raises (ZeroDivisionError); arrays give nan or inf.
-    if isinstance(det_sq, float) and det_sq == 0.0:
-        raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
-    return g, h, det_sq
+    av = abs(float(p.v))
+    g = p.gamma / av
+    q = 0.25 * g * g
+    kernel = _continuant_kernel(1.0, p.n)
+
+    def dets(alpha):
+        h = kernel(alpha)
+        u_n, u_n1, u_n2 = h
+        re = u_n - q * u_n2
+        im = g * u_n1
+        re *= re
+        im *= im
+        re += im
+        if isinstance(re, float) and re == 0.0:
+            raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
+        return h, re
+
+    return av, g, dets
+
+
+def _dets(p: WireParams, eps: EnergyLike) -> tuple:
+    """``g``, the U_k and ``|det C~|**2`` at ``eps`` (ValueError if non-finite), for both routes."""
+    av, g, dets = _chebyshev(p)
+    alpha = _diagonal(p, eps)
+    alpha /= av  # in place in the fresh eps0 - eps
+    return (g, *dets(alpha))
 
 
 def _require_finite(what: str, *values: EnergyLike) -> None:
@@ -261,7 +281,7 @@ def eo_terms(p: WireParams, eps: EnergyLike) -> EOTerms:
     return terms
 
 
-def _eo_terms(p: WireParams, g: float, h: HatDets, det_sq: EnergyLike) -> EOTerms:
+def _eo_terms(p: WireParams, g: float, h: tuple, det_sq: EnergyLike) -> EOTerms:
     """The three averaged terms, each built in one temporary of its own.
 
     With pref = 2*pi*v_lead**2, q = gamma**2/4 and d = |det C|**2::
@@ -277,19 +297,20 @@ def _eo_terms(p: WireParams, g: float, h: HatDets, det_sq: EnergyLike) -> EOTerm
     order), so the augmented assignments change where a value lands, not
     its bits.
     """
+    u_n, u_n1, u_n2 = h
     av = abs(float(p.v))
     pref = 2.0 * math.pi * p.v_lead ** 2 / av / av
     # 0.25*g*g*U_{n-2}**2, shared by term_u1 and term_im.
-    corner = 0.25 * g * g * h.c_n2
-    corner *= h.c_n2
-    term_u1 = h.c_n1 * h.c_n1
+    corner = 0.25 * g * g * u_n2
+    corner *= u_n2
+    term_u1 = u_n1 * u_n1
     term_u1 += corner
     term_u1 *= pref
     term_u1 /= det_sq
     term_uN = pref / det_sq
-    term_im = 2.0 * h.c_n1
-    term_im *= h.c_n1
-    term_im -= h.c_n2 * h.c_n
+    term_im = 2.0 * u_n1
+    term_im *= u_n1
+    term_im -= u_n2 * u_n
     term_im += corner
     term_im *= 0.5 * g * g
     term_im /= det_sq
@@ -297,7 +318,7 @@ def _eo_terms(p: WireParams, g: float, h: HatDets, det_sq: EnergyLike) -> EOTerm
 
 
 def _eo(
-    p: WireParams, g: float, h: HatDets, det_sq: EnergyLike, out: np.ndarray | None = None
+    p: WireParams, g: float, h: tuple, det_sq: EnergyLike, out: np.ndarray | None = None
 ) -> tuple[EnergyLike, EnergyLike]:
     """EO transmittance and the gap U_{n-1}**2 - U_{n-2}*U_n, in Chebyshev units.
 
@@ -306,10 +327,11 @@ def _eo(
     assignment in the order of the closed form.  With ``out`` (an array of
     the energies' shape) the final division by ``|det C~|**2`` writes the
     transmittance there, and ``out`` is returned; its values are written
-    before the check, which may still raise.
+    before the check, which may still raise, naming an overflow as such.
     """
-    gap = h.c_n1 * h.c_n1
-    gap -= h.c_n2 * h.c_n
+    u_n, u_n1, u_n2 = h
+    gap = u_n1 * u_n1
+    gap -= u_n2 * u_n
     t = gap + 1.0
     t *= 0.5 * g * g
     if out is None:
@@ -326,6 +348,7 @@ def _eo(
     tol += _RECOMBINE_ATOL
     recombined -= t
     if not np.all(np.abs(recombined) <= tol):
+        _require_finite("EO transmittance", t)
         raise NumericalError("averaged-term recombination disagrees with the closed form")
     return t, gap
 
@@ -396,12 +419,12 @@ def spectrum(
 ) -> TransmissionSpectrum:
     """Transmittance on a uniform inclusive grid, by one or both routes.
 
-    The routes run over the grid in blocks of ``_BLOCK`` energies, in grid
-    order, and write into outputs allocated once; every temporary is
-    block-sized.  Each block's GF quotient ``g**2 / |det C~|**2`` and EO
-    transmittance are divided straight into their slices of the outputs
-    (``out=``), with no block copy.  Each value is
-    elementwise, so every sample has the bits of
+    The evaluator of ``_chebyshev`` is built once per call; the routes run
+    it over the grid in blocks of ``_BLOCK`` energies, in grid order, and
+    write into outputs allocated once; every temporary is block-sized.
+    Each block's GF quotient ``g**2 / |det C~|**2`` and EO transmittance
+    are divided straight into their slices of the outputs (``out=``), with
+    no block copy.  Each value is elementwise, so every sample has the bits of
     ``transmittance_gf(p, grid)`` and ``transmittance_eo(p, grid)``, and the
     first failing block raises the error the whole grid would.
     ``TransmissionSpectrum`` then validates the whole result.
@@ -411,6 +434,8 @@ def spectrum(
     ValueError
         Invalid grid bounds (including a width ``e_max - e_min`` beyond the
         double range), point count, or method.
+    NumericalError
+        A route's check fails, or a computed sample is non-finite or leaves [0, 1 + 1e-9].
     """
     if not (math.isfinite(e_min) and math.isfinite(e_max)) or not e_min < e_max:
         raise ValueError(f"need finite e_min < e_max, got [{e_min}, {e_max}]")
@@ -426,18 +451,22 @@ def spectrum(
     grid = np.linspace(e_min, e_max, points)
     t_gf = np.empty(points) if method in ("gf", "both") else None
     t_eo = np.empty(points) if method in ("eo", "both") else None
+    av, g, dets = _chebyshev(p)
     # Non-finite values raise in _eo or in TransmissionSpectrum.
     with np.errstate(all="ignore"):
         for start in range(0, points, _BLOCK):
             block = slice(start, start + _BLOCK)
-            g, h, det_sq = _dets(p, grid[block])
+            alpha = p.eps0 - grid[block]  # finite energies: linspace of finite bounds
+            alpha /= av
+            h, det_sq = dets(alpha)
             if t_gf is not None:
                 np.divide(g * g, det_sq, out=t_gf[block])
             if t_eo is not None:
                 _eo(p, g, h, det_sq, out=t_eo[block])
-    return TransmissionSpectrum(
-        energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo
-    )
+    try:
+        return TransmissionSpectrum(energies=grid, params=p, method=method, t_gf=t_gf, t_eo=t_eo)
+    except PreconditionError as exc:  # the samples computed from valid arguments left [0, 1]
+        raise NumericalError(str(exc)) from None
 
 
 def chain_resonances(p: WireParams) -> np.ndarray:
@@ -611,21 +640,19 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     error estimate 0 and the unpadded window ``(mu, mu)`` at every
     temperature.
 
-    For the quadrature, T(eps) is the GF transmittance in Chebyshev units,
-    built once per call: ``g = gamma/|v|``, the numerator ``g**2``, the
-    corner constants and the unit body of the continuant kernel
-    (``tridiag_core._continuant_kernel``, with the bits of n-1) are built
-    up front, so each quadrature evaluation pays only for arithmetic:
-    ``alpha = (eps0 - eps)/|v|``, the kernel's about 7*log2(n) float
-    operations on ``kernel(alpha)`` (which starts from U_0 = 1 itself),
-    the corner split and the GF quotient, written inline, and at T > 0 the
-    occupation difference ``f_L - f_R = (tanh(b) - tanh(a))/2`` with
+    For the quadrature, T(eps) is the GF transmittance in Chebyshev units
+    from the per-wire evaluator of ``_chebyshev``, built once per call with
+    the numerator ``g**2``, so each quadrature evaluation pays only for
+    arithmetic: ``alpha = (eps0 - eps)/|v|``, the evaluator (the kernel's
+    about 7*log2(n) float operations and ``|det C~|**2``), the GF quotient
+    and, at T > 0, the occupation difference
+    ``f_L - f_R = (tanh(b) - tanh(a))/2`` with
     ``a, b = (eps - mu_L)/2T, (eps - mu_R)/2T``, which keeps its digits
     where both Fermi functions are near 1/2 (T far above the bias).  One
-    integrand serves both temperatures, so a quadrature point costs two
-    Python frames, the integrand and the kernel.  The values are
-    bit-identical to ``transmittance_gf(p, eps)``.  No power of v is taken,
-    so nothing is checked before the routes run.
+    integrand serves both temperatures, so a quadrature point costs three
+    Python frames: the integrand, the evaluator and the kernel.  The values
+    are bit-identical to ``transmittance_gf(p, eps)``.  No power of v is
+    taken, so nothing is checked before the routes run.
 
     Raises
     ------
@@ -654,20 +681,13 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
         poles = _pole_current(p, bias)
     if poles is not None:
         return CurrentResult(value=poles[0], error_estimate=poles[1], window=(lo, hi))
-    eps0, av = p.eps0, abs(float(p.v))
-    g = p.gamma / av
+    eps0 = p.eps0
+    av, g, dets = _chebyshev(p)
     num = g * g
-    q = 0.25 * g * g  # corner_split's grouping, (0.25*g)*g, so T keeps its bits
-    kernel = _continuant_kernel(1.0, p.n)
     tanh = math.tanh
 
     def integrand(e: float) -> float:
-        c_n, c_n1, c_n2 = kernel((eps0 - e) / av)
-        re = c_n - q * c_n2
-        im = g * c_n1
-        det_sq = re * re + im * im
-        if det_sq == 0.0:
-            raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
+        det_sq = dets((eps0 - e) / av)[1]
         if warm:
             # f_L - f_R with f(e) = 0.5 - 0.5*tanh(0.5*(e - mu)/T), the Fermi function.
             occ = 0.5 * (tanh(0.5 * (e - mu_right) / temperature)

@@ -198,8 +198,9 @@ def _continuant_kernel(b2, n, modulus=None):
     may be inf): a product or sum with an int keeps the bits and the type
     of a float, an array or a Fraction, and keeps ints exact.  At n <= 2
     the triple returns the seed 1 (and at n = 1 the seed 0 and alpha
-    itself, reduced by ``modulus`` if given); ``wire_matrix`` turns those
-    into floats or arrays of the energies' shape.
+    itself, reduced by ``modulus`` if given); ``wire_matrix.hat_dets``
+    turns those into floats or arrays of the energies' shape, and the
+    transmittance routes take them as they come.
 
     The factory picks one of two loop bodies, by the value of ``b2``:
 

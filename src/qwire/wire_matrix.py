@@ -13,13 +13,14 @@ splits over the lead-free ("hat") determinants of ``hat_dets``:
 
 Divided by |v|**N it is the same split in Chebyshev units,
 ``U_N + i*g*U_{N-1} - (g**2/4)*U_{N-2}`` with ``U_k = Chat_k/|v|**k`` and
-``g = gamma/|v|`` (``_chebyshev_dets``), which is what the transmittance
-routes evaluate.  Both triples run one closure of
-``tridiag_core._continuant_kernel`` on the diagonal ``eps0 - eps``
-(``_diagonal``), which starts from Chat_0 = 1 and Chat_{-1} = 0 itself;
-``_kernel_dets`` turns those int seeds, returned as fields at N <= 2, into
-floats or arrays of the energies' shape.  ``first_inverse_column`` solves
-``C u = e_1`` by a sweep over the diagonal alone.
+``g = gamma/|v|``, which is what the transmittance routes evaluate
+(``transport._chebyshev``, on the unit body of the same kernel).
+``hat_dets`` runs one closure of ``tridiag_core._continuant_kernel`` on the
+diagonal ``eps0 - eps`` (``_diagonal``, shared with the routes), which
+starts from Chat_0 = 1 and Chat_{-1} = 0 itself, and turns those int seeds,
+returned as fields at N <= 2, into floats or arrays of the energies' shape.
+``first_inverse_column`` solves ``C u = e_1`` by a sweep over the diagonal
+alone.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ class HatDets(NamedTuple):
     """Determinants of the lead-free wire matrix at dimensions n, n-1, n-2.
 
     Conventions Chat_0 = 1 and Chat_{-1} = 0 cover the small-n cases.  The
-    fields are scalars or arrays, matching the probe-energy argument.  The
-    same triple in Chebyshev units (each divided by |v|**k) comes from
-    ``_chebyshev_dets``; ``corner_split`` then takes ``gamma/|v|``.
+    fields are scalars or arrays, matching the probe-energy argument.
+    In Chebyshev units (each field divided by |v|**k) the same split takes
+    ``gamma/|v|``; ``transport._chebyshev`` writes it with this grouping.
     """
 
     c_n: EnergyLike
@@ -124,22 +125,6 @@ def _diagonal(p: WireParams, eps: EnergyLike) -> EnergyLike:
     return p.eps0 - eps
 
 
-def _kernel_dets(kernel, n: int, alpha: EnergyLike) -> HatDets:
-    """``kernel(alpha)`` as HatDets, every field a float or an array of alpha's shape.
-
-    From n = 3 every field is made by arithmetic on ``alpha`` and has its
-    kind already.  At n <= 2 the kernel returns its seeds A_0 = 1 (and at
-    n = 1 A_{-1} = 0) as the ints they are, and at n = 1 ``alpha`` itself;
-    here the seeds become floats, or fresh arrays of alpha's shape.
-    """
-    dets = kernel(alpha)
-    if n > 2:
-        return HatDets(*dets)
-    if isinstance(alpha, np.ndarray):
-        return HatDets(*(np.full_like(alpha, d) if isinstance(d, int) else d for d in dets))
-    return HatDets(*(float(d) if isinstance(d, int) else d for d in dets))
-
-
 def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     """Lead-free determinants (Chat_n, Chat_{n-1}, Chat_{n-2}) at probe energy ``eps``.
 
@@ -151,36 +136,25 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     ``tridiag_core._continuant_kernel`` (``b2 = v**2``), built once per
     call, which reaches index n by doubling in about 8*log2(n) operations;
     a scalar runs it on Python floats, an array on numpy arrays
-    (``_diagonal``), and ``_kernel_dets`` gives every field the kind of
-    the input.  Floats and arrays go through the same operations in the
-    same order, so a scalar result is bit-identical to the corresponding
-    element of an array result.
+    (``_diagonal``).  From n = 3 every field is made by arithmetic on the
+    diagonal and has its kind already; at n <= 2 the kernel returns its
+    seeds Chat_0 = 1 (and at n = 1 Chat_{-1} = 0) as the ints they are,
+    which become floats here, or fresh arrays of the energies' shape.
+    Floats and arrays go through the same operations in the same order, so
+    a scalar result is bit-identical to the corresponding element of an
+    array result.
 
     The transmittance routes do not call this function: they run the unit
-    body on ``_chebyshev_dets``, whose values are these divided by
+    body in ``transport._chebyshev``, whose values are these divided by
     ``|v|**n``, ``|v|**(n-1)`` and ``|v|**(n-2)``.
     """
-    return _kernel_dets(_continuant_kernel(p.v * p.v, p.n), p.n, _diagonal(p, eps))
-
-
-def _chebyshev_dets(p: WireParams, eps: EnergyLike) -> HatDets:
-    """The lead-free determinants in Chebyshev units, ``Chat_k / |v|**k`` for k = n, n-1, n-2.
-
-    In the form ``Chat_k = |v|**k U_k(x)``, ``x = (eps0 - eps)/(2|v|)``, the
-    fields are ``U_n``, ``U_{n-1}`` and ``U_{n-2}`` of the second kind, the
-    continuants of ``alpha = (eps0 - eps)/|v|`` with ``b2 = 1``: the unit
-    body of ``tridiag_core._continuant_kernel``, 7 operations per doubling
-    step.  No power of v is taken, and in the band (|x| <= 1)
-    ``|U_k| <= k + 1`` for every v.  For an array, ``alpha`` is divided in
-    place in the fresh ``eps0 - eps``, one pass.  Scalars and arrays give
-    the same bits, as in ``hat_dets``; at |v| = 1 these are the bits of
-    ``hat_dets``.
-
-    Raises ValueError for a non-finite energy.
-    """
     alpha = _diagonal(p, eps)
-    alpha /= abs(float(p.v))
-    return _kernel_dets(_continuant_kernel(1.0, p.n), p.n, alpha)
+    dets = _continuant_kernel(p.v * p.v, p.n)(alpha)
+    if p.n > 2:
+        return HatDets(*dets)
+    if isinstance(alpha, np.ndarray):
+        return HatDets(*(np.full_like(alpha, d) if isinstance(d, int) else d for d in dets))
+    return HatDets(*(float(d) if isinstance(d, int) else d for d in dets))
 
 
 def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:

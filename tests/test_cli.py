@@ -333,6 +333,18 @@ def test_spectrum_overflow_exits_1_without_nan(method, python_flags):
     assert b"qwire: " in proc.stderr
 
 
+def test_spectrum_with_eo_rounding_below_zero_exits_1():
+    # A valid wire whose EO samples round below 0 outside the band is a
+    # numerical failure (exit 1), not an argument error (exit 2).
+    code, out, err = run_text(
+        "spectrum", "-N", "50", "--eps0", "0.1", "--v", "1", "--gamma", "0.5",
+        "--from", "-3", "--to", "3", "--points", "100000", "--method", "eo",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["qwire: t_eo leaves [0, 1 + 1e-9]"]
+
+
 def test_spectrum_json_format():
     code, out, _ = run_text("spectrum", *spectrum_args(**{"--format": "json"}))
     assert code == 0

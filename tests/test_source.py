@@ -161,3 +161,32 @@ def test_pole_angles_take_one_log_per_newton_step():
             and node.func.attr == "log" and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "np"]
     assert len(logs) == 1, logs
+
+
+def test_routes_build_their_unit_kernel_in_one_place():
+    # transport._chebyshev is the one evaluator of the routes' Chebyshev
+    # continuants and |det C~|**2: one unit-kernel construction under
+    # src/qwire, and the current's quadrature integrand reads |det C~|**2
+    # from it instead of forming its own.
+    sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "_continuant_kernel" and node.args
+                  and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1]
+    assert len(sites) == 1 and sites[0].startswith("transport.py:"), sites
+    tree = ast.parse((PACKAGE / "transport.py").read_text())
+    current = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "landauer_current")
+    names = {node.id for node in ast.walk(current) if isinstance(node, ast.Name)}
+    assert "_chebyshev" in names and "_continuant_kernel" not in names
+    integrand = next(node for node in ast.walk(current)
+                     if isinstance(node, ast.FunctionDef) and node is not current)
+    squares = [node.lineno for node in ast.walk(integrand)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+               and ast.dump(node.left) == ast.dump(node.right)]
+    squares += [node.lineno for node in ast.walk(integrand)
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                and ast.dump(node.target).replace("Store", "Load") == ast.dump(node.value)]
+    assert squares == []

@@ -9,11 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qwire.transport as transport
 import qwire.tridiag_core as tridiag_core
+import qwire.wire_matrix as wire_matrix
 from qwire import (
     BiasWindow,
     NumericalError,
@@ -381,7 +382,7 @@ def test_shared_hat_dets_bit_identical_to_public_routes():
                 with pytest.raises(NumericalError):
                     spectrum(p, lo, hi, 257, "both")
             elif min(public[0].min(), public[1].min()) < 0.0:  # EO rounding out of band
-                with pytest.raises(ValueError):
+                with pytest.raises(NumericalError, match=r"t_eo leaves \[0, 1 \+ 1e-9\]"):
                     spectrum(p, lo, hi, 257, "both")
             else:
                 spec = spectrum(p, lo, hi, 257, "both")
@@ -505,16 +506,21 @@ def test_equivalence_report_takes_numpy_scalar_params_as_python_scalars(broken, 
     assert got.bridge_exact_fallbacks == (grid.size if broken else 0)
 
 
+def _count_evaluations(monkeypatch, calls):
+    """Make every evaluator of ``transport._chebyshev`` append its alpha to ``calls``."""
+    real = transport._chebyshev
+
+    def counting(p):
+        av, g, dets = real(p)
+        return av, g, lambda alpha: calls.append(alpha) or dets(alpha)
+
+    monkeypatch.setattr(transport, "_chebyshev", counting)
+
+
 def test_hat_dets_evaluated_once_per_call(monkeypatch):
     # The routes read the continuants in Chebyshev units, once per call.
     calls = []
-    real = transport._chebyshev_dets
-
-    def counting(p, eps):
-        calls.append(eps)
-        return real(p, eps)
-
-    monkeypatch.setattr(transport, "_chebyshev_dets", counting)
+    _count_evaluations(monkeypatch, calls)
     p = WireParams(n=6, eps0=0.1, v=0.9, gamma=0.7)
     grid = np.linspace(-2.0, 2.0, 11)
     for call in (
@@ -700,17 +706,12 @@ def test_blocked_spectrum_bit_identical_to_whole_grid_routes(points, monkeypatch
     grid = np.linspace(-1.6, 1.9, points)
     t_gf, t_eo = transmittance_gf(p, grid), transmittance_eo(p, grid)
     calls = []
-    real = transport._chebyshev_dets
-
-    def counting(p, eps):
-        calls.append(len(eps))
-        return real(p, eps)
-
-    monkeypatch.setattr(transport, "_chebyshev_dets", counting)
+    _count_evaluations(monkeypatch, calls)
     for method in ("gf", "eo", "both"):
         calls.clear()
         spec = spectrum(p, -1.6, 1.9, points, method)
-        assert calls == [min(BLOCK, points - start) for start in range(0, points, BLOCK)]
+        assert [len(alpha) for alpha in calls] == [
+            min(BLOCK, points - start) for start in range(0, points, BLOCK)]
         assert spec.energies.tobytes() == grid.tobytes()
         if method != "eo":
             assert spec.t_gf.tobytes() == t_gf.tobytes()
@@ -720,13 +721,15 @@ def test_blocked_spectrum_bit_identical_to_whole_grid_routes(points, monkeypatch
 
 def test_blocked_spectrum_raises_recombination_error_of_last_block():
     # At n = 700 the EO check fails above eps = 2.262 (the squared
-    # continuants overflow).  Only the last of the three blocks reaches there.
+    # continuants overflow, so T is non-finite there and the error names
+    # the overflow).  Only the last of the three blocks reaches there.
     p = WireParams(n=700, eps0=0.0, v=1.0, gamma=0.5)
     points = 2 * BLOCK + 100
     grid = np.linspace(-2.0, 2.3, points)
     transmittance_eo(p, grid[:2 * BLOCK])
     whole = _outcome(lambda: transmittance_eo(p, grid))
-    assert whole == (NumericalError, "averaged-term recombination disagrees with the closed form")
+    assert whole == (NumericalError,
+                     "EO transmittance is non-finite (the recurrence left the double range)")
     for method in ("eo", "both"):
         assert _outcome(lambda: spectrum(p, -2.0, 2.3, points, method)) == whole
     spec = spectrum(p, -2.0, 2.3, points, "gf")
@@ -750,6 +753,60 @@ def test_blocked_spectrum_keeps_error_order(points):
             assert got == whole
         else:
             assert getattr(got, "t_" + method).tobytes() == whole.tobytes()
+
+
+def test_spectrum_builds_the_unit_kernel_once(monkeypatch):
+    # spectrum builds the routes' evaluator once per call, not per block:
+    # three blocks, one unit kernel.
+    builds = []
+    for module in (transport, wire_matrix):
+        real = module._continuant_kernel
+        monkeypatch.setattr(module, "_continuant_kernel",
+                            lambda b2, n, *rest, real=real: builds.append(b2) or real(b2, n, *rest))
+    p = WireParams(n=40, eps0=0.1, v=0.9, gamma=0.6)
+    spectrum(p, -1.6, 1.9, 3 * BLOCK, "both")
+    assert builds == [1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_route_outputs_take_the_kind_and_shape_of_the_energies(n):
+    # At n <= 2 the evaluator hands the kernel's int seeds to the routes as
+    # they come; every public output is still a float array of the
+    # energies' shape, or a float for a scalar energy.
+    p = WireParams(n=n, eps0=0.1, v=0.8, gamma=0.3)
+    line = np.linspace(-1.0, 1.0, 12)
+
+    def outputs(energies):
+        return [transmittance_gf(p, energies), transmittance_eo(p, energies),
+                *vars(eo_terms(p, energies)).values()]
+
+    for energies in (line, line.reshape(3, 4)):
+        for out in outputs(energies):
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.shape == energies.shape
+    assert all(type(out) is float for out in outputs(0.25))
+    for energies, shape in ((line, line.shape), (0.25, (1,))):
+        gap = equivalence_report(p, energies).hat_gap
+        assert isinstance(gap, np.ndarray) and gap.dtype == np.float64 and gap.shape == shape
+
+
+def test_spectrum_samples_out_of_range_are_a_numerical_error():
+    # Outside the band EO rounds to about -2e-17 here (cancellation in
+    # 1 + gap).  The arguments are valid, so spectrum raises NumericalError;
+    # a TransmissionSpectrum built by hand with such a sample keeps
+    # ValueError (test_spectrum_type_rejects_nonfinite_samples).
+    p = WireParams(n=50, eps0=0.1, v=1.0, gamma=0.5)
+    with pytest.raises(NumericalError, match=r"^t_eo leaves \[0, 1 \+ 1e-9\]$"):
+        spectrum(p, -3.0, 3.0, 100000, "eo")
+
+
+def test_eo_overflow_is_named_as_overflow():
+    # Above eps = 2.262 the squared continuants of 700 sites overflow: the
+    # recombination check fails on a non-finite T, at a scalar energy too.
+    p = WireParams(n=700, eps0=0.0, v=1.0, gamma=0.5)
+    for eps in (2.29, np.array([0.5, 2.29])):
+        with pytest.raises(NumericalError, match=r"^EO transmittance is non-finite"):
+            transmittance_eo(p, eps)
 
 
 def test_spectrum_temporaries_stay_block_sized():
@@ -1160,6 +1217,10 @@ def _assert_matches_pole_oracle(p, bias):
     temperature=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
     forward=st.booleans(),
 )
+# A window on the band edge, off every resonance: the pole terms are 350
+# times the current (8.738e-06), and quad's estimate is 9.7e-20.
+@example(n=7, eps0=1.0, v=0.25, v_sign=-1.0, h=0.0625, centre=1.0, half_width=0.0546875,
+         temperature=0.0, forward=False)
 def test_current_matches_dense_pole_sum(n, eps0, v, v_sign, h, centre, half_width,
                                         temperature, forward):
     # Windows centred in the band, 2.5 % to 1.5 band widths wide; h up to

@@ -16,9 +16,11 @@ from qwire import (
     ModeError,
     NumericalError,
     SymToeplitzTridiag,
+    WireParams,
     corner_cofactor,
     det,
     det_sequence,
+    hat_dets,
     identity_residual,
     identity_residuals,
     transport,
@@ -470,11 +472,21 @@ SEEDED_SIZES = range(1, 1026)
 FLOAT_ALPHAS = [0.3, -1.7, 2.0, -2.0, 0.0, -0.0, 1e-300, 5.5, -1e150]
 
 
+# v**2 is 1.0, 0.48999999999999994 and 2.25.
+HOPPINGS = (1.0, 0.7, 1.5)
+
+
+def _wire(n, v):
+    """A wire whose diagonal ``eps0 - eps`` at ``eps = -alpha`` is alpha, signed zeros too."""
+    return WireParams(n=n, eps0=-0.0, v=v, gamma=0.5)
+
+
 def test_kernel_matches_the_seeded_kernel_on_floats():
     # With the int seeds 0 and 1 the seeded kernel gives the kernel's types
-    # and bits at every n; with today's float callers' 0.0 and 1.0 it gives
-    # the bits and types of wire_matrix's fields, which turn the seeds at
-    # n <= 2 into floats.
+    # and bits at every n; with the float seeds 0.0 and 1.0 it gives the
+    # bits and types of hat_dets, which turns the seeds at n <= 2 into
+    # floats.  hat_dets rejects a non-finite energy, so +-inf stays on the
+    # kernel.
     for n in SEEDED_SIZES:
         alphas = FLOAT_ALPHAS + ([math.inf, -math.inf] if n <= 2 else [])
         for b2 in (1.0, 0.49, 2.25):
@@ -482,13 +494,16 @@ def test_kernel_matches_the_seeded_kernel_on_floats():
             for alpha in alphas:
                 got = kernel(alpha)
                 assert typed_bits(got) == typed_bits(seeded(alpha, 0, 1)), (n, b2, alpha)
-                assert typed_bits(wire_matrix._kernel_dets(kernel, n, alpha)) == \
-                    typed_bits(seeded(alpha, 0.0, 1.0)), (n, b2, alpha)
+        for v in HOPPINGS:
+            p, seeded = _wire(n, v), _seeded_kernel(v * v, n)
+            for alpha in FLOAT_ALPHAS:
+                assert typed_bits(hat_dets(p, -alpha)) == \
+                    typed_bits(seeded(alpha, 0.0, 1.0)), (n, v, alpha)
 
 
 def test_kernel_matches_the_seeded_kernel_on_arrays():
     # hat_dets passed 0.0 and 1.0 from n = 3 and seed arrays at n <= 2;
-    # wire_matrix's fields match that call in dtype, shape and bits.
+    # its fields match that call in dtype, shape and bits.
     for n in SEEDED_SIZES:
         alpha = np.array(FLOAT_ALPHAS + ([math.inf, -math.inf] if n <= 2 else []))
         grid = alpha.reshape(-1, 1) if n % 2 else alpha
@@ -498,12 +513,17 @@ def test_kernel_matches_the_seeded_kernel_on_arrays():
             with np.errstate(all="ignore"):
                 got = kernel(grid)
                 want = seeded(grid, 0, 1)
-                fields = wire_matrix._kernel_dets(kernel, n, grid)
+            assert typed_bits(got) == typed_bits(want), (n, b2)
+            assert grid.tobytes() == before.tobytes()
+        finite = np.array(FLOAT_ALPHAS)
+        grid = finite.reshape(-1, 1) if n % 2 else finite
+        for v in HOPPINGS:
+            p, seeded = _wire(n, v), _seeded_kernel(v * v, n)
+            with np.errstate(all="ignore"):
+                fields = hat_dets(p, -grid)
                 old = (seeded(grid, 0.0, 1.0) if n > 2
                        else seeded(grid, np.zeros_like(grid), np.ones_like(grid)))
-            assert typed_bits(got) == typed_bits(want), (n, b2)
-            assert typed_bits(fields) == typed_bits(old), (n, b2)
-            assert grid.tobytes() == before.tobytes()
+            assert typed_bits(fields) == typed_bits(old), (n, v)
 
 
 def test_kernel_matches_the_seeded_kernel_on_ints_mod_p():

@@ -21,6 +21,7 @@ from qwire import (
     first_inverse_column,
     hat_dets,
 )
+import qwire.transport as transport
 import qwire.wire_matrix as wire_matrix
 from qwire.wire_matrix import _continuant_kernel
 
@@ -308,14 +309,18 @@ def test_unit_continuant_kernel_takes_seven_operations_per_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 226, 2 ** 20 + 1])
 @pytest.mark.parametrize("v", [1.0, -1.0, 0.6, -1.4])
 def test_chebyshev_dets_are_hat_dets_in_units_of_v(n, v):
-    # U_k = Chat_k / |v|**k; at |v| = 1 the unit body gives the bits of the
-    # b2 body, so the two agree exactly.
+    # The routes' evaluator, transport._chebyshev, gives U_k = Chat_k / |v|**k
+    # at alpha = (eps0 - eps)/|v| (int seeds at n <= 2, taken as floats
+    # here); at |v| = 1 the unit body gives the bits of the b2 body, so the
+    # two agree exactly.
     p = WireParams(n=n, eps0=0.2, v=v, gamma=0.4)
     energies = 0.2 + 2.0 * abs(v) * np.linspace(-0.99, 0.99, 17)
-    unit = wire_matrix._chebyshev_dets(p, energies)
+    av, _, dets = transport._chebyshev(p)
+    unit = [np.broadcast_to(np.asarray(x, dtype=float), energies.shape)
+            for x in dets((p.eps0 - energies) / av)[0]]
     for e, *scalar in zip(energies.tolist(), *unit):
         assert [x.hex() for x in scalar] == [
-            float(x).hex() for x in wire_matrix._chebyshev_dets(p, e)]
+            float(x).hex() for x in dets((p.eps0 - e) / av)[0]]
     if abs(v) == 1.0:
         assert [x.tobytes() for x in unit] == [x.tobytes() for x in hat_dets(p, energies)]
     elif n <= 226:  # beyond, |v|**n leaves the double range
@@ -362,15 +367,14 @@ def test_continuant_kernel_leaves_its_array_arguments_unchanged(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hat_dets_of_an_array_are_arrays_of_its_shape(n):
     # At n <= 2 a seed of the kernel is itself a field of the result, the
-    # int 1 or 0; wire_matrix makes it a float array of the energies' shape,
-    # or a float for a scalar energy, in both kinds of determinants.
+    # int 1 or 0; hat_dets makes it a float array of the energies' shape,
+    # or a float for a scalar energy.
     p = WireParams(n=n, eps0=0.1, v=0.8, gamma=0.3)
     energies = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    for dets in (hat_dets, wire_matrix._chebyshev_dets):
-        for field in dets(p, energies):
-            assert isinstance(field, np.ndarray) and field.shape == energies.shape
-            assert field.dtype == np.float64 and field.flags.writeable
-        assert all(type(field) is float for field in dets(p, 0.25))
+    for field in hat_dets(p, energies):
+        assert isinstance(field, np.ndarray) and field.shape == energies.shape
+        assert field.dtype == np.float64 and field.flags.writeable
+    assert all(type(field) is float for field in hat_dets(p, 0.25))
 
 
 def test_hat_dets_reject_non_finite_energy():
