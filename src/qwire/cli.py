@@ -33,8 +33,8 @@ OUTPUT_DIR_ENV = "QWIRE_OUTPUT_DIR"
 SCHEMA_VERSION = 1
 
 
-def _number(text: str):
-    """Parse an int when the literal is integral, else a float."""
+def number(text: str):
+    """An int when the literal is integral, else a float (argparse: "invalid number value")."""
     try:
         return int(text)
     except ValueError:
@@ -106,8 +106,8 @@ def _wire_params(args: argparse.Namespace):
 
 
 def _identity_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--alpha", type=_number, required=True, help="diagonal entry")
-    sp.add_argument("--beta", type=_number, required=True, help="off-diagonal entry")
+    sp.add_argument("--alpha", type=number, required=True, help="diagonal entry")
+    sp.add_argument("--beta", type=number, required=True, help="off-diagonal entry")
     sp.add_argument("--n-max", type=int, required=True, help="largest matrix size (>= 2)")
     sp.add_argument("--mode", choices=(tridiag_core.EXACT, tridiag_core.FLOAT),
                     default=tridiag_core.EXACT, help="arithmetic mode (default exact)")

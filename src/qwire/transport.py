@@ -18,10 +18,10 @@ with ``U_k = Chat_k/|v|**k``, ``g = gamma/|v|`` and
 
 so no power of v is taken: in the band |U_k| <= k + 1 for every v, and
 neither ``v**(n-1)`` nor its square can leave the double range.  One
-per-wire evaluator, ``_chebyshev``, gives the U_k (the unit body of
-``tridiag_core._continuant_kernel``) and ``|det C~|**2``; both routes, the
-equivalence report, ``spectrum`` and the current's quadrature read it, and
-each public function shares one evaluation between the routes.
+per-wire evaluator, ``_chebyshev``, takes the energies and gives the U_k at
+``alpha = (eps0 - eps)/|v|`` (the kernel's unit body) and ``|det C~|**2``;
+both routes, the equivalence report, ``spectrum`` and the quadrature read
+it, and each public function shares one evaluation between the routes.
 ``spectrum`` walks its grid in blocks of ``_BLOCK`` energies, so the
 temporaries of both routes stay block-sized.  They agree
 because the continuant identity ``beta**(2n-2) = A_{n-1}**2 - A_{n-2} A_n``
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .tridiag_core import FLOAT, _continuant_kernel, _residuals
-from .wire_matrix import EnergyLike, WireParams, _diagonal
+from .wire_matrix import EnergyLike, WireParams, _energies
 
 _RECOMBINE_RTOL = 1e-9
 _RECOMBINE_ATOL = 1e-12
@@ -204,22 +204,28 @@ class EquivalenceReport:
 
 
 def _chebyshev(p: WireParams):
-    """``(|v|, g, dets)``: the routes' one evaluator of their continuants, built per wire.
+    """``(g, dets)``: the routes' one evaluator of their continuants, built per wire.
 
-    ``dets(alpha)``, at ``alpha = (eps0 - eps)/|v|`` (a float or an array),
-    gives the unit kernel's ``(U_n, U_{n-1}, U_{n-2})`` and
-    ``|det C~|**2 = (U_n - q U_{n-2})**2 + (g U_{n-1})**2`` with ``g = gamma/|v|``
-    and ``q = (0.25*g)*g`` (``corner_split``'s grouping), squared in place in
-    the split's two fresh values.  At n <= 2 the kernel's int seeds stay ints,
-    which keep the kind and bits of every route output.  A scalar
-    ``|det C~|**2`` of 0 raises NumericalError (arrays give nan or inf).
+    ``dets(eps)``, at checked energies (a float or an array), divides the fresh
+    ``alpha = eps0 - eps`` by ``|v|`` in place and gives the unit kernel's
+    ``(U_n, U_{n-1}, U_{n-2})`` there and ``|det C~|**2 = (U_n - q U_{n-2})**2
+    + (g U_{n-1})**2`` with ``g = gamma/|v|`` and ``q = (0.25*g)*g``
+    (``corner_split``'s grouping), squared in place in the split's two fresh
+    values.  At n <= 2 the kernel's int seeds stay ints, which keep the kind
+    and bits of every route output.  A scalar ``|det C~|**2`` of 0 raises
+    NumericalError (arrays give nan or inf).  ``_eo_terms``' ``pref/v**2``
+    (here it would move ``EOTerms`` bits), the bridge's unscaled ``eps0 - grid``
+    and ``_pole_current``'s pole map keep their own ``|v|`` and ``eps0``.
     """
+    eps0 = p.eps0
     av = abs(float(p.v))
     g = p.gamma / av
     q = 0.25 * g * g
     kernel = _continuant_kernel(1.0, p.n)
 
-    def dets(alpha):
+    def dets(eps):
+        alpha = eps0 - eps
+        alpha /= av
         h = kernel(alpha)
         u_n, u_n1, u_n2 = h
         re = u_n - q * u_n2
@@ -231,15 +237,13 @@ def _chebyshev(p: WireParams):
             raise NumericalError("|det C|**2 underflows to 0 at a scalar energy")
         return h, re
 
-    return av, g, dets
+    return g, dets
 
 
 def _dets(p: WireParams, eps: EnergyLike) -> tuple:
-    """``g``, the U_k and ``|det C~|**2`` at ``eps`` (ValueError if non-finite), for both routes."""
-    av, g, dets = _chebyshev(p)
-    alpha = _diagonal(p, eps)
-    alpha /= av  # in place in the fresh eps0 - eps
-    return (g, *dets(alpha))
+    """``g``, the U_k and ``|det C~|**2`` at ``eps`` (``_energies`` checks it), for both routes."""
+    g, dets = _chebyshev(p)
+    return (g, *dets(_energies(eps)))
 
 
 def _require_finite(what: str, *values: EnergyLike) -> None:
@@ -451,14 +455,12 @@ def spectrum(
     grid = np.linspace(e_min, e_max, points)
     t_gf = np.empty(points) if method in ("gf", "both") else None
     t_eo = np.empty(points) if method in ("eo", "both") else None
-    av, g, dets = _chebyshev(p)
+    g, dets = _chebyshev(p)
     # Non-finite values raise in _eo or in TransmissionSpectrum.
     with np.errstate(all="ignore"):
         for start in range(0, points, _BLOCK):
             block = slice(start, start + _BLOCK)
-            alpha = p.eps0 - grid[block]  # finite energies: linspace of finite bounds
-            alpha /= av
-            h, det_sq = dets(alpha)
+            h, det_sq = dets(grid[block])  # finite energies: linspace of finite bounds
             if t_gf is not None:
                 np.divide(g * g, det_sq, out=t_gf[block])
             if t_eo is not None:
@@ -643,7 +645,7 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
     For the quadrature, T(eps) is the GF transmittance in Chebyshev units
     from the per-wire evaluator of ``_chebyshev``, built once per call with
     the numerator ``g**2``, so each quadrature evaluation pays only for
-    arithmetic: ``alpha = (eps0 - eps)/|v|``, the evaluator (the kernel's
+    arithmetic: the evaluator (``alpha = (eps0 - eps)/|v|``, the kernel's
     about 7*log2(n) float operations and ``|det C~|**2``), the GF quotient
     and, at T > 0, the occupation difference
     ``f_L - f_R = (tanh(b) - tanh(a))/2`` with
@@ -681,13 +683,12 @@ def landauer_current(p: WireParams, bias: BiasWindow) -> CurrentResult:
         poles = _pole_current(p, bias)
     if poles is not None:
         return CurrentResult(value=poles[0], error_estimate=poles[1], window=(lo, hi))
-    eps0 = p.eps0
-    av, g, dets = _chebyshev(p)
+    g, dets = _chebyshev(p)
     num = g * g
     tanh = math.tanh
 
     def integrand(e: float) -> float:
-        det_sq = dets((eps0 - e) / av)[1]
+        det_sq = dets(e)[1]
         if warm:
             # f_L - f_R with f(e) = 0.5 - 0.5*tanh(0.5*(e - mu)/T), the Fermi function.
             occ = 0.5 * (tanh(0.5 * (e - mu_right) / temperature)

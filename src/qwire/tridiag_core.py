@@ -102,7 +102,7 @@ class SymToeplitzTridiag(_Frozen):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", int(n))  # a numpy int would wrap in beta**(n-1)
 
 
 class DetSequence(_Frozen):

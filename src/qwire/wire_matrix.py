@@ -16,7 +16,7 @@ Divided by |v|**N it is the same split in Chebyshev units,
 ``g = gamma/|v|``, which is what the transmittance routes evaluate
 (``transport._chebyshev``, on the unit body of the same kernel).
 ``hat_dets`` runs one closure of ``tridiag_core._continuant_kernel`` on the
-diagonal ``eps0 - eps`` (``_diagonal``, shared with the routes), which
+diagonal ``eps0 - eps`` (``_energies`` checks ``eps`` for all callers), which
 starts from Chat_0 = 1 and Chat_{-1} = 0 itself, and turns those int seeds,
 returned as fields at N <= 2, into floats or arrays of the energies' shape.
 ``first_inverse_column`` solves ``C u = e_1`` by a sweep over the diagonal
@@ -71,6 +71,7 @@ class WireParams:
             raise ValueError(f"site count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"site count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))  # a numpy int would wrap or break pow
         for name in ("eps0", "v", "gamma", "bandwidth"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -105,14 +106,13 @@ class HatDets(NamedTuple):
         return self.c_n - 0.25 * gamma * gamma * self.c_n2, gamma * self.c_n1
 
 
-def _diagonal(p: WireParams, eps: EnergyLike) -> EnergyLike:
-    """``eps0 - eps`` for a scalar or an array of energies.
+def _energies(eps: EnergyLike) -> EnergyLike:
+    """The probe energies, or ValueError if one is not finite: the one energy check.
 
     A scalar (0-d) energy gives a Python float, which avoids numpy's
     per-operation dispatch when one energy is evaluated at a time; an array
-    gives a fresh float array.
-
-    Raises ValueError for a non-finite energy.
+    gives a float array.  Each caller (``hat_dets``, the routes through
+    ``transport._dets``, ``first_inverse_column``) forms ``eps0 - eps``.
     """
     if isinstance(eps, (int, float)) or np.ndim(eps) == 0:
         eps = float(eps)
@@ -122,7 +122,7 @@ def _diagonal(p: WireParams, eps: EnergyLike) -> EnergyLike:
         finite = np.all(np.isfinite(eps))
     if not finite:
         raise ValueError("probe energy must be finite")
-    return p.eps0 - eps
+    return eps
 
 
 def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
@@ -136,20 +136,21 @@ def hat_dets(p: WireParams, eps: EnergyLike) -> HatDets:
     ``tridiag_core._continuant_kernel`` (``b2 = v**2``), built once per
     call, which reaches index n by doubling in about 8*log2(n) operations;
     a scalar runs it on Python floats, an array on numpy arrays
-    (``_diagonal``).  From n = 3 every field is made by arithmetic on the
+    (``_energies``).  From n = 3 every field is made by arithmetic on the
     diagonal and has its kind already; at n <= 2 the kernel returns its
     seeds Chat_0 = 1 (and at n = 1 Chat_{-1} = 0) as the ints they are,
     which become floats here, or fresh arrays of the energies' shape.
     Floats and arrays go through the same operations in the same order, so
     a scalar result is bit-identical to the corresponding element of an
-    array result.
+    array result.  Fields beyond the double range are +-inf or nan, with no warning.
 
     The transmittance routes do not call this function: they run the unit
     body in ``transport._chebyshev``, whose values are these divided by
     ``|v|**n``, ``|v|**(n-1)`` and ``|v|**(n-2)``.
     """
-    alpha = _diagonal(p, eps)
-    dets = _continuant_kernel(p.v * p.v, p.n)(alpha)
+    with np.errstate(all="ignore"):  # out-of-range fields come back as +-inf or nan
+        alpha = p.eps0 - _energies(eps)
+        dets = _continuant_kernel(p.v * p.v, p.n)(alpha)
     if p.n > 2:
         return HatDets(*dets)
     if isinstance(alpha, np.ndarray):
@@ -177,14 +178,11 @@ def first_inverse_column(p: WireParams, eps: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        Non-finite probe energy.
+        Non-finite probe energy (``_energies``).
     SingularMatrixError
         Residual bound violated or non-finite solution.
     """
-    eps = float(eps)
-    if not math.isfinite(eps):
-        raise ValueError("probe energy must be finite")
-    a = p.eps0 - eps
+    a = p.eps0 - _energies(float(eps))
     d = np.full(p.n, a, dtype=complex)
     d[0] += 0.5j * p.gamma
     d[-1] += 0.5j * p.gamma  # stacks with the first entry when n == 1

@@ -150,7 +150,7 @@ def test_identity_exact_rows_match_per_size_library_calls(mode, alpha, beta, n_m
             if not line.startswith(("#", "n,"))]
     assert len(rows) == n_max - 1
     for n, row in enumerate(rows, start=2):
-        m = SymToeplitzTridiag(cli._number(alpha), cli._number(beta), n)
+        m = SymToeplitzTridiag(cli.number(alpha), cli.number(beta), n)
         seq = det_sequence(m, mode).values
         cof = corner_cofactor(m if mode == FLOAT else SymToeplitzTridiag(
             m.alpha, int(m.beta), n))
@@ -239,6 +239,14 @@ def test_identity_rejects_small_n_max():
     code, out, _ = run_text("identity", "--alpha", "1", "--beta", "1", "--n-max", "1")
     assert code == 2
     assert out == ""
+
+
+def test_invalid_number_is_named_in_plain_words():
+    # argparse names the type function of --alpha and --beta in its message.
+    code, out, err = run_text("identity", "--alpha", "1/2", "--beta", "1", "--n-max", "3")
+    assert code == 2
+    assert out == ""
+    assert err.endswith(": error: argument --alpha: invalid number value: '1/2'\n")
 
 
 def test_missing_required_flag_exits_2():

@@ -190,3 +190,18 @@ def test_routes_build_their_unit_kernel_in_one_place():
                 if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
                 and ast.dump(node.target).replace("Store", "Load") == ast.dump(node.value)]
     assert squares == []
+
+
+def test_evaluator_callers_hand_it_energies_unscaled():
+    # transport._chebyshev's dets forms alpha = (eps0 - eps)/|v| itself: its
+    # callers get no |v| back and pass energies, never arithmetic on them.
+    tree = ast.parse((PACKAGE / "transport.py").read_text())
+    targets = [node.targets[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+               and isinstance(node.value.func, ast.Name) and node.value.func.id == "_chebyshev"]
+    assert [[t.id for t in target.elts] for target in targets] == [["g", "dets"]] * 3
+    args = [node.args[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dets"]
+    assert len(args) == 3
+    assert not [ast.unparse(arg) for arg in args if isinstance(arg, (ast.BinOp, ast.UnaryOp))]

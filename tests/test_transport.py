@@ -507,12 +507,12 @@ def test_equivalence_report_takes_numpy_scalar_params_as_python_scalars(broken, 
 
 
 def _count_evaluations(monkeypatch, calls):
-    """Make every evaluator of ``transport._chebyshev`` append its alpha to ``calls``."""
+    """Make each evaluator of ``transport._chebyshev`` append the energies it gets to ``calls``."""
     real = transport._chebyshev
 
     def counting(p):
-        av, g, dets = real(p)
-        return av, g, lambda alpha: calls.append(alpha) or dets(alpha)
+        g, dets = real(p)
+        return g, lambda eps: calls.append(eps) or dets(eps)
 
     monkeypatch.setattr(transport, "_chebyshev", counting)
 
@@ -533,6 +533,58 @@ def test_hat_dets_evaluated_once_per_call(monkeypatch):
         calls.clear()
         call()
         assert len(calls) == 1
+
+
+def test_evaluator_receives_the_energies_unscaled(monkeypatch):
+    # The evaluator forms alpha = (eps0 - eps)/|v| itself.  spectrum hands
+    # it its grid's blocks, the routes the energies _energies checked (a
+    # Python float for a scalar, a float array otherwise), and the current's
+    # quadrature its points, the Python floats quad passes.
+    calls = []
+    _count_evaluations(monkeypatch, calls)
+    p = WireParams(n=5, eps0=0.3, v=-0.7, gamma=0.4)
+    spec = spectrum(p, -1.5, 1.8, 2 * BLOCK + 3, "both")
+    assert [len(eps) for eps in calls] == [BLOCK, BLOCK, 3]
+    assert b"".join(eps.tobytes() for eps in calls) == spec.energies.tobytes()
+    for eps, want in ((0.25, 0.25), (np.float64(0.25), 0.25), (1, 1.0), (np.array(0.5), 0.5),
+                      ([0.1, 2], np.array([0.1, 2.0])), (np.arange(3), np.arange(3.0))):
+        for route in (transmittance_gf, transmittance_eo, eo_terms):
+            calls.clear()
+            route(p, eps)
+            [got] = calls
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    calls.clear()
+    equivalence_report(p, [0.1, 0.2])
+    assert [eps.tolist() for eps in calls] == [[0.1, 0.2]]
+    # h = gamma/(2|v|) >= 1 declines the pole sum, so quad integrates.
+    wide = WireParams(n=3, eps0=0.0, v=0.5, gamma=1.5)
+    import scipy.integrate
+
+    points = []
+    real_quad = scipy.integrate.quad
+
+    def recording_quad(f, *args, **kwargs):
+        return real_quad(lambda e: points.append(e) or f(e), *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+    for temperature in (0.0, 0.05):
+        calls.clear()
+        points.clear()
+        landauer_current(wide, BiasWindow(mu_left=0.4, mu_right=-0.3, temperature=temperature))
+        assert points and len(calls) == len(points)
+        assert all(got is e and type(e) is float for got, e in zip(calls, points))
+
+
+def test_equivalence_report_takes_a_numpy_integer_site_count():
+    # WireParams stores int(n): the bridge's three-argument pow takes no
+    # numpy exponent, which raised TypeError.
+    grid = np.array([0.1, 0.2])
+    got = equivalence_report(WireParams(n=np.int64(4), eps0=0.0, v=1.0, gamma=0.5), grid)
+    want = equivalence_report(WireParams(n=4, eps0=0.0, v=1.0, gamma=0.5), grid)
+    for name in got.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 def test_equivalence_report_rejects_empty_grid():

@@ -241,6 +241,22 @@ def test_cofactor_numpy_beta_overflow_raises_numerical_error():
     assert corner_cofactor(SymToeplitzTridiag(1, np.int32(-3), 4)) == -27
 
 
+def test_numpy_integer_size_is_stored_as_a_python_int():
+    # beta**(n-1) wraps in int64 for a numpy n, and the identity check's
+    # three-argument pow takes no numpy exponent (TypeError).
+    m = SymToeplitzTridiag(3, 3, np.int64(100))
+    assert type(m.n) is int and m == SymToeplitzTridiag(3, 3, 100)
+    assert corner_cofactor(m) == 3 ** 99
+    for mode in (EXACT, FLOAT):
+        for size in (np.int64(5), np.int32(7)):
+            want = SymToeplitzTridiag(3, 1, int(size))
+            got = SymToeplitzTridiag(3, 1, size)
+            assert repr(identity_residual(got, mode)) == repr(identity_residual(want, mode))
+            assert repr(identity_residuals(got, mode)) == repr(identity_residuals(want, mode))
+    with pytest.raises(ValueError, match=r"^dimension must be >= 0, got -1$"):
+        SymToeplitzTridiag(3, 1, np.int64(-1))
+
+
 def test_exact_mode_takes_numpy_integers_as_python_ints():
     # The module checks types with numbers.Integral and numbers.Real, with
     # which numpy registers its scalar types; it imports no numpy itself.

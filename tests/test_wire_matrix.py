@@ -309,18 +309,17 @@ def test_unit_continuant_kernel_takes_seven_operations_per_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 226, 2 ** 20 + 1])
 @pytest.mark.parametrize("v", [1.0, -1.0, 0.6, -1.4])
 def test_chebyshev_dets_are_hat_dets_in_units_of_v(n, v):
-    # The routes' evaluator, transport._chebyshev, gives U_k = Chat_k / |v|**k
-    # at alpha = (eps0 - eps)/|v| (int seeds at n <= 2, taken as floats
-    # here); at |v| = 1 the unit body gives the bits of the b2 body, so the
-    # two agree exactly.
+    # The routes' evaluator, transport._chebyshev, takes the energies and
+    # gives U_k = Chat_k / |v|**k at alpha = (eps0 - eps)/|v| (int seeds at
+    # n <= 2, taken as floats here); at |v| = 1 the unit body gives the bits
+    # of the b2 body, so the two agree exactly.
     p = WireParams(n=n, eps0=0.2, v=v, gamma=0.4)
     energies = 0.2 + 2.0 * abs(v) * np.linspace(-0.99, 0.99, 17)
-    av, _, dets = transport._chebyshev(p)
+    _, dets = transport._chebyshev(p)
     unit = [np.broadcast_to(np.asarray(x, dtype=float), energies.shape)
-            for x in dets((p.eps0 - energies) / av)[0]]
+            for x in dets(energies)[0]]
     for e, *scalar in zip(energies.tolist(), *unit):
-        assert [x.hex() for x in scalar] == [
-            float(x).hex() for x in dets((p.eps0 - e) / av)[0]]
+        assert [x.hex() for x in scalar] == [float(x).hex() for x in dets(e)[0]]
     if abs(v) == 1.0:
         assert [x.tobytes() for x in unit] == [x.tobytes() for x in hat_dets(p, energies)]
     elif n <= 226:  # beyond, |v|**n leaves the double range
@@ -381,6 +380,27 @@ def test_hat_dets_reject_non_finite_energy():
     p = WireParams(n=2, eps0=0.0, v=1.0, gamma=1.0)
     with pytest.raises(ValueError):
         hat_dets(p, math.inf)
+
+
+def test_hat_dets_of_an_array_leaving_the_double_range_warn_nothing():
+    # eps0 - eps overflows at the first energy and the continuants at the
+    # second; an array gives the inf and nan fields the scalar calls give,
+    # with no numpy warning (the suite makes a RuntimeWarning an error).
+    p = WireParams(n=3, eps0=1e308, v=1.0, gamma=0.5)
+    energies = np.array([-1e308, 0.0])
+    fields = hat_dets(p, energies)
+    scalars = [hat_dets(p, e) for e in energies.tolist()]
+    for k, field in enumerate(fields):
+        assert field.tobytes() == np.array([h[k] for h in scalars]).tobytes()
+    assert not np.isfinite(fields.c_n).any()
+
+
+def test_numpy_integer_site_count_is_stored_as_a_python_int():
+    p = WireParams(n=np.int64(3), eps0=0.1, v=0.8, gamma=0.3)
+    assert type(p.n) is int and p == WireParams(n=3, eps0=0.1, v=0.8, gamma=0.3)
+    assert hash(p) == hash(WireParams(n=3, eps0=0.1, v=0.8, gamma=0.3))
+    with pytest.raises(ValueError, match=r"^site count must be >= 1, got 0$"):
+        WireParams(n=np.int64(0), eps0=0.1, v=0.8, gamma=0.3)
 
 
 # --- wire determinant -------------------------------------------------------
@@ -555,8 +575,9 @@ def test_first_column_check_catches_a_sign_slip_in_the_sweep():
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 def test_first_column_rejects_non_finite_energy(eps):
+    # The one energy check (wire_matrix._energies) and its message.
     p = WireParams(n=3, eps0=0.0, v=1.0, gamma=0.5)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"^probe energy must be finite$"):
         first_inverse_column(p, eps)
 
 
